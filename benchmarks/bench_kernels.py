@@ -3,10 +3,9 @@
 Measures the claims the ``repro.kernels`` package and the
 :class:`~repro.serving.service.FastSlot` read path make:
 
-1. **Backend parity** — the active kernel backend (numba when
-   available, the NumPy reference otherwise; ``KERNEL_BACKEND`` says
-   which, never silently) matches the reference backend to <= 1e-12 on
-   random box workloads.
+1. **Kernel throughput** — box-intersection volume pairs per second on
+   a random box workload (correctness is property-tested in
+   ``tests/test_kernels.py``).
 2. **Steady-state allocation** — the arena-backed batch path does not
    grow memory across repeated ``estimate_from_bounds`` calls: all
    temporaries live in reused thread-local arena buffers.
@@ -27,9 +26,9 @@ Runs two ways:
 * ``python benchmarks/bench_kernels.py [--quick] [--json PATH]`` —
   standalone script (used by CI); ``--quick`` shrinks the workload and
   drops the wall-clock ratio bars (shared runners are too noisy for
-  hard timing assertions) but still asserts parity, the flat-memory
-  guard, a conservative estimates/sec floor, and prints the backend
-  report.
+  hard timing assertions) but still asserts fast-path parity, the
+  flat-memory guard, a conservative estimates/sec floor, and prints the
+  backend report.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 import repro.kernels as kernels
 from repro.core.config import QuickSelConfig
 from repro.core.quicksel import QuickSel
-from repro.kernels import intersection_volumes, reference_backend
+from repro.kernels import intersection_volumes
 from repro.serving import (
     EstimateCache,
     RefitScheduler,
@@ -70,22 +69,15 @@ MAX_STEADY_STATE_GROWTH_BYTES = 256 * 1024
 
 
 # ----------------------------------------------------------------------
-# 1. Kernel parity + throughput
+# 1. Kernel throughput
 # ----------------------------------------------------------------------
-def run_kernel_parity(rows: int, cols: int, dimension: int = 3) -> dict:
-    """Active backend vs. the NumPy reference on one random workload."""
+def run_kernel_throughput(rows: int, cols: int, dimension: int = 3) -> dict:
+    """Box-intersection volume pairs per second on one random workload."""
     rng = np.random.default_rng(0)
     row_lower = rng.uniform(-5.0, 5.0, size=(rows, dimension))
     row_upper = row_lower + rng.uniform(0.0, 4.0, size=(rows, dimension))
     col_lower = rng.uniform(-5.0, 5.0, size=(cols, dimension))
     col_upper = col_lower + rng.uniform(0.0, 4.0, size=(cols, dimension))
-
-    reference = reference_backend()
-    active = intersection_volumes(row_lower, row_upper, col_lower, col_upper)
-    expected = reference.intersection_volumes(
-        row_lower, row_upper, col_lower, col_upper
-    )
-    parity = float(np.abs(active - expected).max()) if rows and cols else 0.0
 
     repeats = 20
     start = time.perf_counter()
@@ -94,18 +86,13 @@ def run_kernel_parity(rows: int, cols: int, dimension: int = 3) -> dict:
     seconds = (time.perf_counter() - start) / repeats
     pair_rate = rows * cols / seconds
 
-    results = {
+    return {
         "rows": rows,
         "cols": cols,
         "dimension": dimension,
-        "volumes_parity": parity,
         "volumes_seconds": seconds,
         "volumes_pairs_per_second": pair_rate,
     }
-    assert parity <= PARITY_TOLERANCE, (
-        f"active backend diverged from reference by {parity}"
-    )
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -307,11 +294,9 @@ def run_tinylfu_benchmark(
 
 def run_kernels_benchmark(quick: bool = False) -> dict:
     results: dict = {"kernel_backend": kernels.backend_report()}
-    assert results["kernel_backend"]["backend"] in ("numba", "numpy")
-    assert results["kernel_backend"]["reason"]
 
     if quick:
-        results.update(run_kernel_parity(rows=200, cols=60))
+        results.update(run_kernel_throughput(rows=200, cols=60))
         results.update(run_flat_memory_guard(probe_queries=100))
         results.update(
             run_fast_path_benchmark(requests=5_000, check_speedup=False)
@@ -320,7 +305,7 @@ def run_kernels_benchmark(quick: bool = False) -> dict:
             run_tinylfu_benchmark(requests=800, check_ratio=False)
         )
     else:
-        results.update(run_kernel_parity(rows=1_000, cols=200))
+        results.update(run_kernel_throughput(rows=1_000, cols=200))
         results.update(run_flat_memory_guard())
         results.update(
             run_fast_path_benchmark(requests=50_000, check_speedup=True)
@@ -335,10 +320,9 @@ def render_report(results: dict) -> str:
     backend = results["kernel_backend"]
     lines = [
         "kernels benchmark",
-        f"  backend            {backend['backend']} ({backend['reason']})",
-        f"  volumes parity     {results['volumes_parity']:.2e}"
-        f"  ({int(results['rows'])}x{int(results['cols'])} boxes, "
-        f"{results['volumes_pairs_per_second']:,.0f} pairs/s)",
+        f"  backend            {backend['backend']} (NumPy {backend['numpy']})",
+        f"  volumes            {results['volumes_pairs_per_second']:,.0f} pairs/s"
+        f"  ({int(results['rows'])}x{int(results['cols'])} boxes)",
         f"  steady-state mem   +{int(results['flat_memory_growth_bytes'])} B"
         f" over {int(results['flat_memory_window_calls'])} warm batch calls",
         f"  legacy dispatch    {results['legacy_dispatch_us']:7.2f} us"
@@ -359,7 +343,7 @@ def render_report(results: dict) -> str:
 # pytest-benchmark entry points
 # ----------------------------------------------------------------------
 def test_kernels_benchmark(benchmark):
-    """Parity, flat memory, >=3x fast path, >=2x TinyLFU — one run."""
+    """Throughput, flat memory, >=3x fast path, >=2x TinyLFU — one run."""
     results = benchmark.pedantic(run_kernels_benchmark, rounds=1, iterations=1)
     benchmark.extra_info.update(
         {
@@ -379,8 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small workload for CI smoke runs (parity, flat memory, "
-        "est/s floor, backend report; no wall-clock ratio bars)",
+        help="small workload for CI smoke runs (fast-path parity, flat "
+        "memory, est/s floor, backend report; no wall-clock ratio bars)",
     )
     parser.add_argument(
         "--json",

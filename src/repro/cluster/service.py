@@ -571,64 +571,11 @@ class ShardedSelectivityService:
     def _migrate(
         self, key: ModelKey, source: ShardWorker, dest: ShardWorker
     ) -> None:
-        # Order matters: replay buffered feedback into the trainer, let
-        # in-flight refits publish, then hand the trainer to the
-        # destination.  refit_backlog=False republishes the exact model
-        # the source was serving — a migration moves a snapshot, it does
-        # not retrain — while unabsorbed feedback stays pending toward
-        # the destination's refit policy.
-        source.flush(key, blocking=True)
-        source.service.drain()
-        drift_errors = source.service.drift_errors(key)
-        # The per-backend A/B error windows move too: unregistering
-        # wipes them on the source, and a promote decision made after a
-        # resize must still see the evidence accumulated before it.
-        backend_windows = {
-            backend: window
-            for (model, backend), window
-            in source.stats.backend_error_windows().items()
-            if model == str(key)
-        }
-        # The lifetime accumulators behind the relative drift (shift)
-        # trigger move too; they are *installed* after the window replay
-        # below (absorb replaces, so the replayed window is not counted
-        # twice).
-        lifetime_totals = {
-            (model, backend): totals
-            for (model, backend), totals
-            in source.stats.lifetime_error_totals().items()
-            if model == str(key)
-        }
-        # An A/B pair moves as a pair: withdraw the challenger first
-        # (the registry refuses to split them), then re-shadow it on the
-        # destination with its mirrored state — the same exact-snapshot
-        # discipline as the champion, shadow fraction and drift evidence
-        # included.
-        challenger = None
-        challenger_errors: tuple[float, ...] = ()
-        shadow_frac = 1.0
-        if source.has_challenger(key):
-            challenger_errors = source.service.challenger_drift_errors(key)
-            shadow_frac = source.service.challenger_shadow_frac(key)
-            challenger = source.unregister_challenger(key)
-        trainer = source.unregister_model(key)
-        dest.register_model(
-            key, trainer, refit_backlog=False, initial_errors=drift_errors
-        )
-        if challenger is not None:
-            dest.register_challenger(
-                key,
-                challenger,
-                shadow_frac=shadow_frac,
-                refit_backlog=False,
-                initial_errors=challenger_errors,
-            )
-        for backend, window in backend_windows.items():
-            dest.stats.record_backend_errors(key, backend, window)
-        if lifetime_totals:
-            dest.stats.absorb_lifetime_errors(lifetime_totals)
+        # In process the state moves with the identity codec, so the
+        # destination serves the very trainer objects the source did.
+        dest.install_state(source.export_state(key, withdraw=True))
         # Final sweep: an observe that raced the hand-off may have
-        # buffered on the source after its last flush; forward the
+        # buffered on the source after the export; forward the
         # leftovers (and release the source's per-key buffer state).
         leftovers = source.buffer.discard(key)
         for observation in leftovers:

@@ -29,11 +29,18 @@ vectorised fast path intact).  Writes go through the buffer:
 Nothing in a shard knows about routing; the
 :class:`~repro.cluster.service.ShardedSelectivityService` owns the ring
 and hands each shard only the keys it serves.
+
+A key's learned state leaves and re-enters a shard as one
+:class:`KeyState` value (:meth:`ShardWorker.export_state` /
+:meth:`ShardWorker.install_state`).  An in-process resize, a wire
+migration between worker processes and a disk checkpoint are three
+transports of that one value; only the backend codec differs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import Any, TypedDict
 
 import numpy as np
 
@@ -48,7 +55,36 @@ from repro.serving.snapshot import ModelSnapshot
 from repro.serving.stats import ServingStats
 from repro.cluster.buffer import BufferedObservation, ObservationBuffer
 
-__all__ = ["ShardWorker"]
+__all__ = ["KeyState", "ShardWorker"]
+
+
+class KeyState(TypedDict):
+    """One key's complete serving state, as a plain dict.
+
+    ``trainer`` and ``challenger`` hold the backends as the exporting
+    codec left them: the live objects in process, bytes on the wire and
+    on disk.  ``feedback_count`` is how many observations the champion
+    trainer had absorbed when the state was taken.  The drift windows,
+    the per-backend A/B error windows and the lifetime error totals
+    carry the evidence the refit triggers and a later promote rely on.
+    ``leftovers`` are observations a withdrawing export found still
+    buffered; a state without them (a checkpoint) installs too.
+    """
+
+    key: ModelKey
+    trainer: object
+    feedback_count: int
+    drift_errors: tuple[float, ...]
+    backend_windows: dict[str, tuple[float, ...]]
+    lifetime_totals: dict[tuple[str, str], tuple[int, float]]
+    challenger: object | None
+    challenger_errors: tuple[float, ...]
+    shadow_frac: float
+    leftovers: tuple[BufferedObservation, ...]
+
+
+def _identity(value):
+    return value
 
 
 def _triples(
@@ -122,6 +158,24 @@ class ShardWorker:
     def scheduler(self) -> RefitScheduler:
         """The shard's refit scheduler."""
         return self._scheduler
+
+    def stats_view(self) -> dict[str, Any]:
+        """This shard's stats as one plain, picklable view.
+
+        The input of the fleet fold
+        (:func:`~repro.cluster.stats.merge_worker_stats`), in process and
+        over the wire.  Read through :attr:`stats`, so buffered read
+        accounting is flushed first.
+        """
+        stats = self.stats
+        return {
+            "shard_id": self._shard_id,
+            "counters": stats.counters(),
+            "latencies": stats.latency_values(),
+            "buffer": self._buffer.counters(),
+            "backend_error_windows": stats.backend_error_windows(),
+            "model_keys": len(self.model_keys()),
+        }
 
     # ------------------------------------------------------------------
     # Model lifecycle (the cluster routes, we serve)
@@ -202,6 +256,116 @@ class ShardWorker:
         """Observations accepted for a key: absorbed by the trainer plus
         still buffered."""
         return self._service.feedback_count(key) + self._buffer.pending(key)
+
+    # ------------------------------------------------------------------
+    # Key state hand-off (resize, wire migration, checkpoint)
+    # ------------------------------------------------------------------
+    def export_state(
+        self,
+        key: ModelKey,
+        *,
+        withdraw: bool,
+        encode: Callable[[TrainableBackend], object] = _identity,
+    ) -> KeyState:
+        """Capture a key's full state, encoding each trainer with ``encode``.
+
+        The key's buffered feedback is flushed into its trainer first,
+        and the challenger's mirror backlog is folded into the
+        challenger's trainer under its lock, so the state carries every
+        observation this shard accepted.  With ``withdraw`` the key
+        leaves the shard: in-flight refits publish first (a move carries
+        the exact snapshot being served), then the challenger and the
+        champion are unregistered and raced buffer leftovers are taken
+        along.  Without it (a checkpoint) the key keeps serving and each
+        trainer is encoded under its lock; with the identity codec the
+        state then shares the live trainers.
+        """
+        self.flush(key, blocking=True)
+        service = self._service
+        if withdraw:
+            service.drain()
+        scope = str(key)
+        stats = self.stats
+        state: KeyState = {
+            "key": key,
+            "trainer": None,
+            "feedback_count": service.feedback_count(key),
+            "drift_errors": service.drift_errors(key),
+            "backend_windows": {
+                backend: window
+                for (model, backend), window
+                in stats.backend_error_windows().items()
+                if model == scope
+            },
+            "lifetime_totals": {
+                (model, backend): totals
+                for (model, backend), totals
+                in stats.lifetime_error_totals().items()
+                if model == scope
+            },
+            "challenger": None,
+            "challenger_errors": (),
+            "shadow_frac": 1.0,
+            "leftovers": (),
+        }
+        # An A/B pair moves as a pair: the registry refuses to withdraw
+        # a champion that still has a challenger, so it goes first.
+        if self.has_challenger(key):
+            state["challenger_errors"] = service.challenger_drift_errors(key)
+            state["shadow_frac"] = service.challenger_shadow_frac(key)
+            state["challenger"] = (
+                encode(self.unregister_challenger(key))
+                if withdraw
+                else service.export_challenger(key, serializer=encode)
+            )
+        if withdraw:
+            state["trainer"] = encode(self.unregister_model(key))
+            state["leftovers"] = tuple(self._buffer.discard(key))
+        else:
+            state["trainer"] = service.export_trainer(key, serializer=encode)
+        return state
+
+    def install_state(
+        self,
+        state: KeyState,
+        *,
+        decode: Callable[[object], TrainableBackend] = _identity,
+    ) -> ModelKey:
+        """Serve an exported key here, decoding each trainer with ``decode``.
+
+        ``refit_backlog=False`` republishes the exact model the state
+        captured: a move or a restore never retrains, and unabsorbed
+        feedback stays pending toward this shard's refit policy.  The
+        lifetime totals are installed after the error windows are
+        replayed, because installing replaces and the replay would
+        otherwise be counted twice.
+        """
+        key = state["key"]
+        self.register_model(
+            key,
+            decode(state["trainer"]),
+            refit_backlog=False,
+            initial_errors=state["drift_errors"],
+        )
+        if state["challenger"] is not None:
+            self.register_challenger(
+                key,
+                decode(state["challenger"]),
+                shadow_frac=state["shadow_frac"],
+                refit_backlog=False,
+                initial_errors=state["challenger_errors"],
+            )
+        stats = self.stats
+        for backend, window in state["backend_windows"].items():
+            stats.record_backend_errors(key, backend, window)
+        if state["lifetime_totals"]:
+            stats.absorb_lifetime_errors(state["lifetime_totals"])
+        leftovers = state.get("leftovers", ())
+        for observation in leftovers:
+            self._buffer.append(key, observation)
+        if leftovers:
+            self.flush(key, blocking=True)
+        return key
 
     # ------------------------------------------------------------------
     # Reads (lock-free with respect to training)

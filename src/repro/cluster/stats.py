@@ -1,13 +1,17 @@
 """Fleet-wide metrics: per-shard serving stats rolled up into one surface.
 
-:class:`ClusterStats` presents a :class:`~repro.cluster.service.
-ShardedSelectivityService` as a single observable system.  Counters sum
-across shards; the cache hit rate is recomputed from the summed hit/miss
-counts (a mean of per-shard rates would weight an idle shard like a hot
-one); latency percentiles are computed over the *merged* per-shard
-latency reservoirs (percentiles do not average).  The per-shard view is
-kept alongside the aggregate so operators can spot a hot or unbalanced
-shard at a glance.
+Every shard exports one plain stats view
+(:meth:`~repro.cluster.shard.ShardWorker.stats_view`), in process and
+over the wire alike, and :func:`merge_worker_stats` is the one fold over
+such views.  Counters sum across shards; the cache hit rate is
+recomputed from the summed hit/miss counts (a mean of per-shard rates
+would weight an idle shard like a hot one); latency percentiles are
+computed over the *merged* per-shard latency reservoirs (percentiles do
+not average).  :class:`ClusterStats` presents a
+:class:`~repro.cluster.service.ShardedSelectivityService` through that
+fold and keeps the per-shard view alongside the aggregate, so operators
+can spot a hot or unbalanced shard at a glance; the gateway's
+``fleet_stats()`` runs the same fold over its workers' views.
 
 Counters cover the *live* fleet: like any per-node metrics system, a
 shard retired by ``remove_shard`` takes its history with it (its keys'
@@ -17,33 +21,94 @@ periodically if cumulative history across resizes matters.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
+
 import numpy as np
 
 from repro.exceptions import ServingError
+from repro.serving.stats import ServingStats
 
-__all__ = ["ClusterStats"]
+__all__ = ["ClusterStats", "merge_worker_stats"]
 
-_SUMMED_COUNTERS = (
-    "estimate_requests",
-    "batch_requests",
-    "predicates_served",
-    "cache_hits",
-    "cache_misses",
-    "observations",
-    "challenger_observations",
-    "refits_triggered",
-    "drift_refits_triggered",
-    "refits_completed",
-    "challenger_refits",
-    "promotions",
-    "sandwich_estimates",
-    "sandwich_learned",
-    "sandwich_independence",
-    "sandwich_upper_clamps",
-    "sandwich_lower_clamps",
-    "checkpoints_taken",
-    "checkpoint_restores",
+_BUFFER_COUNTERS = (
+    "appended", "applied", "requeued", "dropped", "discarded", "pending",
 )
+
+
+def _aggregate(views: Sequence[Mapping[str, Any]]) -> dict[str, float]:
+    """Summed counters, true hit rate and merged latency percentiles."""
+    totals: dict[str, float] = dict.fromkeys(ServingStats.COUNTERS, 0)
+    buffer_totals = dict.fromkeys(_BUFFER_COUNTERS, 0)
+    latencies: list[float] = []
+    model_keys = 0
+    for view in views:
+        counters = view.get("counters", {})
+        for name in ServingStats.COUNTERS:
+            totals[name] += counters.get(name, 0)
+        latencies.extend(view.get("latencies", ()))
+        for name, value in view.get("buffer", {}).items():
+            if name in buffer_totals:
+                buffer_totals[name] += value
+        model_keys += int(view.get("model_keys", 0))
+    lookups = totals["cache_hits"] + totals["cache_misses"]
+    totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
+    merged = np.array(latencies) if latencies else None
+    totals["p50_latency_seconds"] = (
+        float(np.percentile(merged, 50.0)) if merged is not None else 0.0
+    )
+    totals["p99_latency_seconds"] = (
+        float(np.percentile(merged, 99.0)) if merged is not None else 0.0
+    )
+    for name, value in buffer_totals.items():
+        totals[f"observations_{name}"] = value
+    totals["shard_count"] = len(views)
+    totals["model_keys"] = model_keys
+    return totals
+
+
+def _backend_errors(
+    views: Iterable[Mapping[str, Any]],
+) -> dict[str, dict[str, float]]:
+    """``{model key: {backend: mean |error|}}`` over merged windows.
+
+    Error windows for the same (key, backend) are merged across shards
+    before the mean is taken — a key's windows live on its owning shard
+    (migration moves them with the key), and merging (rather than
+    averaging shard means) keeps the statistic honest if any transient
+    overlap exists mid-resize.
+    """
+    merged: dict[tuple[str, str], list[float]] = {}
+    for view in views:
+        for scope, window in view.get("backend_error_windows", {}).items():
+            merged.setdefault(scope, []).extend(window)
+    result: dict[str, dict[str, float]] = {}
+    for (model, backend), window in merged.items():
+        if window:
+            result.setdefault(model, {})[backend] = float(
+                sum(window) / len(window)
+            )
+    return result
+
+
+def merge_worker_stats(
+    per_worker: Mapping[str, Mapping[str, Any]],
+) -> dict[str, object]:
+    """Roll per-shard stats views into one fleet view.
+
+    ``per_worker`` maps a shard or worker name to the view
+    :meth:`~repro.cluster.shard.ShardWorker.stats_view` builds (what a
+    worker server's ``stats`` method returns): ``counters``
+    (ServingStats counters), ``latencies`` (the latency reservoir),
+    ``buffer`` (ObservationBuffer counters), ``backend_error_windows``
+    and ``model_keys``.  Returns ``{"aggregate": ..., "backend_errors":
+    ...}``, the same schema whether the fleet is threads or processes.
+    """
+    views = list(per_worker.values())
+    return {
+        "aggregate": _aggregate(views),
+        "backend_errors": _backend_errors(views),
+    }
 
 
 class ClusterStats:
@@ -68,66 +133,21 @@ class ClusterStats:
         return views
 
     def backend_errors(self) -> dict[str, dict[str, float]]:
-        """Fleet-wide per-``{model key: {backend: mean |error|}}`` view.
-
-        Error windows for the same (key, backend) are merged across
-        shards before the mean is taken — a key's windows live on its
-        owning shard (migration moves them with the key), and merging
-        (rather than averaging shard means) keeps the statistic honest
-        if any transient overlap exists mid-resize.
-        """
-        merged: dict[tuple[str, str], list[float]] = {}
-        for worker in self._workers().values():
-            for scope, window in worker.stats.backend_error_windows().items():
-                merged.setdefault(scope, []).extend(window)
-        view: dict[str, dict[str, float]] = {}
-        for (model, backend), window in merged.items():
-            if window:
-                view.setdefault(model, {})[backend] = float(
-                    sum(window) / len(window)
-                )
-        return view
+        """Fleet-wide per-``{model key: {backend: mean |error|}}`` view."""
+        return _backend_errors(self._views())
 
     def aggregate(self) -> dict[str, float]:
         """One fleet-wide view: summed counters, true hit rate, merged
         latency percentiles."""
-        workers = self._workers()
-        totals: dict[str, float] = {name: 0 for name in _SUMMED_COUNTERS}
-        latencies: list[float] = []
-        buffer_totals = {
-            "appended": 0, "applied": 0, "requeued": 0, "dropped": 0,
-            "discarded": 0, "pending": 0,
-        }
-        model_keys = 0
-        for worker in workers.values():
-            counters = worker.stats.counters()
-            for name in _SUMMED_COUNTERS:
-                totals[name] += counters[name]
-            latencies.extend(worker.stats.latency_values())
-            for name, value in worker.buffer.counters().items():
-                buffer_totals[name] += value
-            model_keys += len(worker.model_keys())
-        lookups = totals["cache_hits"] + totals["cache_misses"]
-        totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
-        merged = np.array(latencies) if latencies else None
-        totals["p50_latency_seconds"] = (
-            float(np.percentile(merged, 50.0)) if merged is not None else 0.0
-        )
-        totals["p99_latency_seconds"] = (
-            float(np.percentile(merged, 99.0)) if merged is not None else 0.0
-        )
-        for name, value in buffer_totals.items():
-            totals[f"observations_{name}"] = value
-        totals["shard_count"] = len(workers)
-        totals["model_keys"] = model_keys
-        return totals
+        return _aggregate(self._views())
 
     def snapshot(self) -> dict[str, object]:
         """Aggregate plus per-shard breakdown, as plain dicts."""
+        views = self._views()
         return {
-            "aggregate": self.aggregate(),
+            "aggregate": _aggregate(views),
             "per_shard": self.per_shard(),
-            "backend_errors": self.backend_errors(),
+            "backend_errors": _backend_errors(views),
         }
 
     # ------------------------------------------------------------------
@@ -185,6 +205,9 @@ class ClusterStats:
     # ------------------------------------------------------------------
     def _workers(self):
         return self._cluster._workers_snapshot()
+
+    def _views(self) -> list[dict[str, Any]]:
+        return [worker.stats_view() for worker in self._workers().values()]
 
     def __repr__(self) -> str:
         totals = self._summed("predicates_served", "refits_completed")

@@ -444,9 +444,8 @@ def intersection_volumes_from_bounds(
     The raw-array form of :func:`cross_intersection_volumes`; it is the
     batched-estimation hot path, where the column side (the model's
     subpopulations) is stacked once at model construction and the row side
-    (predicate boxes) once per batch.  Evaluation happens on the active
-    :mod:`repro.kernels` backend (numba-jitted when importable, the NumPy
-    reference otherwise — see :func:`repro.kernels.backend_report`).
+    (predicate boxes) once per batch.  Evaluation happens in
+    :func:`repro.kernels.intersection_volumes`.
     """
     return _intersection_volumes_kernel(
         row_lower, row_upper, col_lower, col_upper

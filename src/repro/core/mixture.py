@@ -69,9 +69,6 @@ class UniformMixtureModel:
         # weight/volume ratio each overlap volume is dotted with.
         self._component_lower, self._component_upper = stack_bounds(self._boxes)
         self._weight_over_volume = self._weights / self._volumes
-        # float32 twins of the stacked geometry, built lazily on the
-        # first reduced-precision batch call (see estimate_from_bounds).
-        self._components_f32: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Properties
@@ -195,7 +192,6 @@ class UniformMixtureModel:
         piece_upper: Sequence[np.ndarray],
         owners: Sequence[int],
         count: int,
-        dtype: object = None,
     ) -> np.ndarray:
         """Batched estimation from raw predicate-piece bounds.
 
@@ -210,46 +206,30 @@ class UniformMixtureModel:
 
         All scratch comes from the calling thread's
         :class:`~repro.kernels.arena.KernelArena`, so a warm batch call
-        allocates only the returned ``(count,)`` result.  ``dtype=
-        numpy.float32`` selects the reduced-precision variant (halved
-        kernel bandwidth, parity ≤1e-6); the default is full float64.
+        allocates only the returned ``(count,)`` result.
         """
         if not len(owners):
             return np.zeros(count)
         arena = get_arena()
-        if dtype is None or np.dtype(dtype) == np.float64:
-            work_dtype = np.float64
-            col_lower = self._component_lower
-            col_upper = self._component_upper
-            weight_over_volume = self._weight_over_volume
-        else:
-            work_dtype = np.dtype(dtype)
-            if self._components_f32 is None:
-                self._components_f32 = (
-                    self._component_lower.astype(np.float32),
-                    self._component_upper.astype(np.float32),
-                    self._weight_over_volume.astype(np.float32),
-                )
-            col_lower, col_upper, weight_over_volume = self._components_f32
-        rows_lower = stack_pieces(piece_lower, "kernels.rows_lower", arena, work_dtype)
-        rows_upper = stack_pieces(piece_upper, "kernels.rows_upper", arena, work_dtype)
+        rows_lower = stack_pieces(piece_lower, "kernels.rows_lower", arena)
+        rows_upper = stack_pieces(piece_upper, "kernels.rows_upper", arena)
         owner_view, identity = owners_array(
             owners, count, "kernels.owners", arena
         )
-        pieces, components = rows_lower.shape[0], col_lower.shape[0]
+        pieces, components = rows_lower.shape[0], self._component_lower.shape[0]
         width = rows_lower.shape[1] if pieces else 0
-        out = np.zeros(count, dtype=work_dtype)
+        out = np.zeros(count)
         weighted_overlap_estimates_into(
             rows_lower,
             rows_upper,
             owner_view,
-            col_lower,
-            col_upper,
-            weight_over_volume,
-            arena.request("kernels.scratch_a", (pieces, components, width), work_dtype),
-            arena.request("kernels.scratch_b", (pieces, components, width), work_dtype),
-            arena.request("kernels.overlaps", (pieces, components), work_dtype),
-            arena.request("kernels.per_piece", (pieces,), work_dtype),
+            self._component_lower,
+            self._component_upper,
+            self._weight_over_volume,
+            arena.request("kernels.scratch_a", (pieces, components, width)),
+            arena.request("kernels.scratch_b", (pieces, components, width)),
+            arena.request("kernels.overlaps", (pieces, components)),
+            arena.request("kernels.per_piece", (pieces,)),
             out,
             owners_identity=identity,
         )

@@ -163,7 +163,6 @@ class BucketSet:
         piece_upper: Sequence[np.ndarray],
         owners: Sequence[int],
         count: int,
-        dtype: object = None,
     ) -> np.ndarray:
         """Batched estimation from raw predicate-piece bounds.
 
@@ -183,41 +182,23 @@ class BucketSet:
         bucket_lower, bucket_upper, volumes = self._stacked_geometry()
         freq_over_volume = self._frequency_over_volume(volumes)
         arena = get_arena()
-        if dtype is None or np.dtype(dtype) == np.float64:
-            work_dtype = np.float64
-            col_lower, col_upper = bucket_lower, bucket_upper
-            weights = freq_over_volume
-        else:
-            work_dtype = np.dtype(dtype)
-            col_lower = arena.request(
-                "kernels.col_lower", bucket_lower.shape, work_dtype
-            )
-            col_lower[...] = bucket_lower
-            col_upper = arena.request(
-                "kernels.col_upper", bucket_upper.shape, work_dtype
-            )
-            col_upper[...] = bucket_upper
-            weights = arena.request(
-                "kernels.col_weights", freq_over_volume.shape, work_dtype
-            )
-            weights[...] = freq_over_volume
-        rows_lower = stack_pieces(piece_lower, "kernels.rows_lower", arena, work_dtype)
-        rows_upper = stack_pieces(piece_upper, "kernels.rows_upper", arena, work_dtype)
+        rows_lower = stack_pieces(piece_lower, "kernels.rows_lower", arena)
+        rows_upper = stack_pieces(piece_upper, "kernels.rows_upper", arena)
         owner_view, identity = owners_array(owners, count, "kernels.owners", arena)
-        pieces, components = rows_lower.shape[0], col_lower.shape[0]
+        pieces, components = rows_lower.shape[0], bucket_lower.shape[0]
         width = rows_lower.shape[1] if pieces else 0
-        out = np.zeros(count, dtype=work_dtype)
+        out = np.zeros(count)
         weighted_overlap_estimates_into(
             rows_lower,
             rows_upper,
             owner_view,
-            col_lower,
-            col_upper,
-            weights,
-            arena.request("kernels.scratch_a", (pieces, components, width), work_dtype),
-            arena.request("kernels.scratch_b", (pieces, components, width), work_dtype),
-            arena.request("kernels.overlaps", (pieces, components), work_dtype),
-            arena.request("kernels.per_piece", (pieces,), work_dtype),
+            bucket_lower,
+            bucket_upper,
+            freq_over_volume,
+            arena.request("kernels.scratch_a", (pieces, components, width)),
+            arena.request("kernels.scratch_b", (pieces, components, width)),
+            arena.request("kernels.overlaps", (pieces, components)),
+            arena.request("kernels.per_piece", (pieces,)),
             out,
             owners_identity=identity,
         )
@@ -314,11 +295,10 @@ class BucketBatchEstimation:
         piece_upper: Sequence[np.ndarray],
         owners: Sequence[int],
         count: int,
-        dtype: object = None,
     ) -> np.ndarray:
         """Raw-bounds batch surface (the serving snapshot's fast path)."""
         return self._buckets.estimate_from_bounds(
-            piece_lower, piece_upper, owners, count, dtype=dtype
+            piece_lower, piece_upper, owners, count
         )
 
 

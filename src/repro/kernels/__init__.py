@@ -1,7 +1,7 @@
-"""Native-speed estimation kernels with an explicit backend report.
+"""The hot estimation kernels, on one NumPy backend.
 
-``repro.kernels`` hosts the three hot kernels the serving stack spends
-its math time in (ROADMAP item 2):
+``repro.kernels`` hosts the three kernels the serving stack spends its
+math time in:
 
 * :func:`intersection_volumes` — the box-intersection volume matrix
   behind ``A``/``Q`` assembly and every batched estimate,
@@ -11,36 +11,32 @@ its math time in (ROADMAP item 2):
   reduce to exactly this form), and
 * :func:`decay_weights` — exponential row decay for windowed training.
 
-**Backend selection happens once, at import.**  If numba imports, the
-jitted backend (fused loops, no ``(n, m, d)`` temporaries) is installed;
-otherwise the NumPy reference backend serves.  The choice is never
-silent: :data:`KERNEL_BACKEND` names the active backend,
-:data:`KERNEL_BACKEND_REASON` says why, and :func:`backend_report`
-bundles both for benchmarks/CI logs — a host that *expected* compiled
-kernels can assert on it instead of discovering a 10x regression in
-production.
+They are vectorised NumPy (see :mod:`repro.kernels._reference`), in
+float64 throughout.  :func:`backend_report` names the backend and the
+NumPy version for benchmark and CI logs.
 
 Every kernel has an ``*_into`` variant writing only into caller-owned
 buffers (see :class:`~repro.kernels.arena.KernelArena` /
 :func:`~repro.kernels.arena.get_arena`): with warm buffers a call makes
-zero NumPy heap allocations.  All kernels accept float32 arrays for the
-halved-bandwidth batch variant; parity bounds are ≤1e-12 (float64) and
-≤1e-6 (float32) against the reference, property-tested in
-``tests/test_kernels.py``.
+zero NumPy heap allocations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import _reference
+from repro.kernels._reference import (
+    decay_weights,
+    decay_weights_into,
+    intersection_volumes,
+    intersection_volumes_into,
+    weighted_overlap_estimates,
+    weighted_overlap_estimates_into,
+)
 from repro.kernels.arena import KernelArena, get_arena
 
 __all__ = [
-    "KERNEL_BACKEND",
-    "KERNEL_BACKEND_REASON",
     "backend_report",
-    "reference_backend",
     "intersection_volumes",
     "intersection_volumes_into",
     "weighted_overlap_estimates",
@@ -53,45 +49,16 @@ __all__ = [
     "get_arena",
 ]
 
-try:
-    from repro.kernels import _numba_impl as _active
-
-    import numba as _numba
-
-    KERNEL_BACKEND = "numba"
-    KERNEL_BACKEND_REASON = f"numba {_numba.__version__} importable"
-except ImportError as _error:
-    _active = _reference
-    KERNEL_BACKEND = "numpy"
-    KERNEL_BACKEND_REASON = f"numba unavailable ({_error}); NumPy reference backend"
-
-intersection_volumes = _active.intersection_volumes
-intersection_volumes_into = _active.intersection_volumes_into
-weighted_overlap_estimates = _active.weighted_overlap_estimates
-weighted_overlap_estimates_into = _active.weighted_overlap_estimates_into
-decay_weights = _active.decay_weights
-decay_weights_into = _active.decay_weights_into
-
-
-def reference_backend():
-    """The NumPy reference module (parity baseline for property tests)."""
-    return _reference
-
 
 def backend_report() -> dict[str, str]:
-    """The active backend and why it was selected (log/assert on this)."""
-    return {
-        "backend": KERNEL_BACKEND,
-        "reason": KERNEL_BACKEND_REASON,
-        "numpy": np.__version__,
-    }
+    """The kernel backend and NumPy version (for benchmark/CI logs)."""
+    return {"backend": "numpy", "numpy": np.__version__}
 
 
 def stack_pieces(
     pieces: "list[np.ndarray] | tuple[np.ndarray, ...]",
     name: str,
     arena: KernelArena,
-    dtype: object = np.float64,
 ) -> np.ndarray:
     """Copy a list of ``(d,)`` corner vectors into an arena ``(n, d)`` view.
 
@@ -101,7 +68,7 @@ def stack_pieces(
     """
     n = len(pieces)
     d = pieces[0].shape[0] if n else 0
-    view = arena.request(name, (n, d), dtype)
+    view = arena.request(name, (n, d))
     if n:
         np.stack(pieces, out=view)
     return view

@@ -1,12 +1,10 @@
-"""Reference NumPy implementations of the hot estimation kernels.
+"""NumPy implementations of the hot estimation kernels.
 
-These are the ground truth every compiled backend must match (the
-property tests in ``tests/test_kernels.py`` compare backends against
-this module).  They are also the *fallback* backend when numba is not
-importable, so they are written to be fast NumPy: broadcasting into
-caller-supplied ``out``/scratch buffers wherever the ufunc machinery
-allows it, no hidden ``asarray`` copies of inputs that are already
-float arrays of the right dtype.
+:mod:`repro.kernels` serves these directly.  They are written to be
+fast NumPy: broadcasting into caller-supplied ``out``/scratch buffers
+wherever the ufunc machinery allows it, no hidden ``asarray`` copies of
+inputs that are already float64 arrays.  ``tests/test_kernels.py``
+property-tests them against a brute-force per-pair oracle.
 
 Scratch-buffer contract: the ``*_into`` variants write only into the
 buffers they are handed (sized exactly by the caller, normally a

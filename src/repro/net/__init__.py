@@ -29,9 +29,9 @@ real process and socket boundaries:
   :class:`~repro.serving.adapter.ServingEstimator`, the feedback loop,
   and the optimizer work over the wire with zero call-site changes.
 * :mod:`repro.net.stats` — gateway-side counters (in-flight, per-worker
-  latency windows, retries, reconnects) and the fleet aggregation that
-  merges remote worker stats into a
-  :class:`~repro.cluster.stats.ClusterStats`-compatible view.
+  latency windows, retries, reconnects); worker stats are folded into
+  the fleet view by :func:`~repro.cluster.stats.merge_worker_stats`,
+  re-exported here.
 * :mod:`repro.net.breaker` — :class:`CircuitBreaker` (closed → open →
   half-open probe) and the jittered-backoff helpers the gateway and
   supervisor share.
@@ -51,13 +51,10 @@ links you trust end to end (localhost, a private service mesh) — the
 same boundary as multiprocessing itself.  TLS/auth is a roadmap item.
 """
 
+from repro.cluster.stats import merge_worker_stats
 from repro.net.breaker import CircuitBreaker, equal_jitter, full_jitter
 from repro.net.chaos import ChaosProxy, ChaosSchedule
-from repro.net.checkpoint import (
-    CheckpointStore,
-    checkpoint_bundle,
-    restore_bundle,
-)
+from repro.net.checkpoint import CheckpointStore
 from repro.net.client import RemoteSelectivityService, connect
 from repro.net.gateway import GatewayServer, SelectivityGateway
 from repro.net.protocol import (
@@ -68,7 +65,7 @@ from repro.net.protocol import (
     encode_backend,
     encode_snapshot,
 )
-from repro.net.stats import GatewayStats, merge_worker_stats
+from repro.net.stats import GatewayStats
 from repro.net.supervisor import FleetSupervisor
 from repro.net.worker import WorkerProcess, WorkerServer, run_worker
 
@@ -92,8 +89,6 @@ __all__ = [
     "full_jitter",
     "equal_jitter",
     "CheckpointStore",
-    "checkpoint_bundle",
-    "restore_bundle",
     "FleetSupervisor",
     "ChaosProxy",
     "ChaosSchedule",

@@ -2,23 +2,20 @@
 
 The fleet's trained state — models improved by thousands of feedback
 observations — lives in worker-process memory, so a SIGKILL used to
-lose every model on the shard.  This module makes that state durable:
+lose every model on the shard.  This module makes that state durable.
 
-* :func:`checkpoint_bundle` collects one key's full serving state into
-  a picklable bundle — the *non-destructive* twin of
-  :func:`~repro.net.worker.migration_bundle`.  Migration withdraws the
-  key from its source; a checkpoint leaves it serving, capturing the
-  trainer under its lock via
-  :meth:`~repro.serving.service.SelectivityService.export_trainer`.
-* :class:`CheckpointStore` persists bundles with write-then-rename
-  atomicity (a crash mid-write can never corrupt the latest good
-  version), monotonically increasing version numbers, and prune-to-K
-  retention.  Unreadable files (truncated by a crash, or written by an
-  incompatible build) are skipped in favour of the next older version.
-* :func:`restore_bundle` reinstalls a bundle on a fresh worker with
-  ``refit_backlog=False`` — the exact model bytes the checkpoint
-  captured are republished, so restored estimates match the checkpoint
-  to ≤ 1e-12 (the same parity contract migration has).
+A checkpoint bundle is the key's :class:`~repro.cluster.shard.KeyState`,
+the same value a migration moves, taken without withdrawing the key
+(``ShardWorker.export_state(key, withdraw=False, encode=encode_backend)``)
+and reinstalled at boot with ``install_state`` — the exact model bytes
+are republished, so restored estimates match the checkpoint to ≤ 1e-12
+(the same parity contract migration has).
+
+:class:`CheckpointStore` persists bundles with write-then-rename
+atomicity (a crash mid-write can never corrupt the latest good
+version), monotonically increasing version numbers, and prune-to-K
+retention.  Unreadable files (truncated by a crash, or written by an
+incompatible build) are skipped in favour of the next older version.
 
 Feedback that arrived after the last checkpoint is *not* on disk; the
 gateway's write journal (see
@@ -39,10 +36,8 @@ from typing import Any
 
 from repro.exceptions import NetError
 from repro.serving.registry import ModelKey
-from repro.cluster.shard import ShardWorker
-from repro.net.protocol import decode_backend, encode_backend
 
-__all__ = ["CheckpointStore", "checkpoint_bundle", "restore_bundle"]
+__all__ = ["CheckpointStore"]
 
 _FILE_PREFIX = "ckpt-"
 _FILE_SUFFIX = ".pkl"
@@ -56,78 +51,6 @@ def _key_slug(key: ModelKey) -> str:
         ch if ch.isalnum() or ch in "-_" else "_" for ch in key.table
     )[:48]
     return f"{readable}-{digest}" if readable else digest
-
-
-def checkpoint_bundle(worker: ShardWorker, key: ModelKey) -> dict[str, Any]:
-    """Collect one key's durable state while it keeps serving.
-
-    Buffered feedback is flushed into the trainer first so the captured
-    ``feedback_count`` means "everything acknowledged up to here is in
-    this bundle".  The trainer (and any challenger) is encoded under its
-    lock; drift evidence, per-backend A/B error windows and lifetime
-    totals ride along exactly as they do in a migration bundle.
-    """
-    worker.flush(key, blocking=True)
-    service = worker.service
-    trainer = service.export_trainer(key, serializer=encode_backend)
-    bundle: dict[str, Any] = {
-        "key": key,
-        "trainer": trainer,
-        "drift_errors": tuple(service.drift_errors(key)),
-        "backend_windows": {
-            backend: tuple(window)
-            for (model, backend), window
-            in worker.stats.backend_error_windows().items()
-            if model == str(key)
-        },
-        "lifetime_totals": {
-            (model, backend): totals
-            for (model, backend), totals
-            in worker.stats.lifetime_error_totals().items()
-            if model == str(key)
-        },
-        "challenger": None,
-        "challenger_errors": (),
-        "shadow_frac": 1.0,
-        "feedback_count": service.feedback_count(key),
-    }
-    if worker.has_challenger(key):
-        bundle["challenger_errors"] = tuple(
-            service.challenger_drift_errors(key)
-        )
-        bundle["shadow_frac"] = service.challenger_shadow_frac(key)
-        bundle["challenger"] = service.export_challenger(
-            key, serializer=encode_backend
-        )
-    return bundle
-
-
-def restore_bundle(worker: ShardWorker, bundle: dict[str, Any]) -> ModelKey:
-    """Reinstall a :func:`checkpoint_bundle` on a (fresh) worker.
-
-    ``refit_backlog=False`` republishes the exact model the checkpoint
-    captured — a restore recovers state, it does not retrain.
-    """
-    key = bundle["key"]
-    worker.register_model(
-        key,
-        decode_backend(bundle["trainer"]),
-        refit_backlog=False,
-        initial_errors=bundle["drift_errors"],
-    )
-    if bundle.get("challenger") is not None:
-        worker.register_challenger(
-            key,
-            decode_backend(bundle["challenger"]),
-            shadow_frac=bundle["shadow_frac"],
-            refit_backlog=False,
-            initial_errors=bundle["challenger_errors"],
-        )
-    for backend, window in bundle.get("backend_windows", {}).items():
-        worker.stats.record_backend_errors(key, backend, window)
-    if bundle.get("lifetime_totals"):
-        worker.stats.absorb_lifetime_errors(bundle["lifetime_totals"])
-    return key
 
 
 class CheckpointStore:
@@ -242,8 +165,8 @@ class CheckpointStore:
         """Yield each checkpointed key's newest readable bundle.
 
         This is the boot-time restore surface: iterate, reinstall each
-        bundle via :func:`restore_bundle`, and the worker serves exactly
-        what it last checkpointed.
+        bundle via :meth:`~repro.cluster.shard.ShardWorker.install_state`,
+        and the worker serves exactly what it last checkpointed.
         """
         with self._lock:
             directories = sorted(

@@ -6,7 +6,8 @@ fleet with the same BLAKE2b :class:`~repro.cluster.router.ShardRouter`
 the in-process cluster uses, fans :meth:`estimate_batch_mixed` out
 across worker connections with input-order reassembly, and migrates keys
 across the process boundary on membership changes via the worker-side
-``migrate_out`` / ``migrate_in`` bundle (the cluster's exact-snapshot
+``migrate_out`` / ``migrate_in`` pair, which moves the key's
+:class:`~repro.cluster.shard.KeyState` (the cluster's exact-snapshot
 hand-off, split at the wire).
 
 Robustness model:
@@ -73,6 +74,7 @@ from repro.exceptions import (
 from repro.serving.registry import ModelKey, normalize_key
 from repro.serving.snapshot import ModelSnapshot
 from repro.cluster.router import ShardRouter
+from repro.cluster.stats import merge_worker_stats
 from repro.net.breaker import CircuitBreaker, full_jitter
 from repro.net.protocol import (
     Request,
@@ -83,7 +85,7 @@ from repro.net.protocol import (
     read_message,
     write_message,
 )
-from repro.net.stats import GatewayStats, merge_worker_stats
+from repro.net.stats import GatewayStats
 
 __all__ = ["SelectivityGateway", "GatewayServer"]
 

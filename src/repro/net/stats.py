@@ -1,18 +1,13 @@
-"""Gateway-side observability: counters, per-worker latency, fleet rollup.
+"""Gateway-side observability: counters and per-worker latency.
 
 :class:`GatewayStats` is the :class:`~repro.serving.stats.ServingStats`
 of the network layer — what the gateway itself did (requests in flight,
 per-worker latency windows, retries, reconnects, timeouts), as opposed
 to what the workers did with the requests (their own ``ServingStats``,
-scraped over the wire).
-
-:func:`merge_worker_stats` is the cross-process half of
-:class:`~repro.cluster.stats.ClusterStats`: given each worker's exported
-stats view (the worker server's ``stats`` method), it sums the counters,
-recomputes the hit rate from summed hits/misses, and computes
-percentiles over the *merged* latency reservoirs — the same aggregation
-discipline the in-process cluster uses, so dashboards read one schema
-whether the fleet is threads or processes.
+scraped over the wire and folded by
+:func:`~repro.cluster.stats.merge_worker_stats`, the same fold the
+in-process cluster uses, so dashboards read one schema whether the
+fleet is threads or processes).
 """
 
 from __future__ import annotations
@@ -24,34 +19,7 @@ import numpy as np
 
 from repro.exceptions import NetError
 
-__all__ = ["GatewayStats", "merge_worker_stats", "WORKER_SUMMED_COUNTERS"]
-
-#: The worker counters summed fleet-wide — the in-process cluster's list.
-WORKER_SUMMED_COUNTERS = (
-    "estimate_requests",
-    "batch_requests",
-    "predicates_served",
-    "cache_hits",
-    "cache_misses",
-    "observations",
-    "challenger_observations",
-    "refits_triggered",
-    "drift_refits_triggered",
-    "refits_completed",
-    "challenger_refits",
-    "promotions",
-    "sandwich_estimates",
-    "sandwich_learned",
-    "sandwich_independence",
-    "sandwich_upper_clamps",
-    "sandwich_lower_clamps",
-    "checkpoints_taken",
-    "checkpoint_restores",
-)
-
-_BUFFER_COUNTERS = (
-    "appended", "applied", "requeued", "dropped", "discarded", "pending",
-)
+__all__ = ["GatewayStats"]
 
 
 class GatewayStats:
@@ -257,54 +225,3 @@ class GatewayStats:
             f"retries={counters['retries']}, "
             f"reconnects={counters['reconnects']})"
         )
-
-
-def merge_worker_stats(
-    per_worker: dict[str, dict[str, object]],
-) -> dict[str, object]:
-    """Roll per-worker exported stats into one ClusterStats-shaped view.
-
-    ``per_worker`` maps worker name to the dict the worker server's
-    ``stats`` method returns: ``counters`` (ServingStats counters),
-    ``latencies`` (the latency reservoir), ``buffer`` (ObservationBuffer
-    counters), ``backend_error_windows`` and ``model_keys``.  The result
-    mirrors :meth:`repro.cluster.stats.ClusterStats.aggregate` — summed
-    counters, true hit rate, percentiles over merged reservoirs — so the
-    out-of-process fleet reads exactly like the in-process one.
-    """
-    totals: dict[str, float] = {name: 0 for name in WORKER_SUMMED_COUNTERS}
-    buffer_totals = dict.fromkeys(_BUFFER_COUNTERS, 0)
-    latencies: list[float] = []
-    merged_errors: dict[tuple[str, str], list[float]] = {}
-    model_keys = 0
-    for view in per_worker.values():
-        counters = view.get("counters", {})
-        for name in WORKER_SUMMED_COUNTERS:
-            totals[name] += counters.get(name, 0)
-        latencies.extend(view.get("latencies", ()))
-        for name, value in view.get("buffer", {}).items():
-            if name in buffer_totals:
-                buffer_totals[name] += value
-        for scope, window in view.get("backend_error_windows", {}).items():
-            merged_errors.setdefault(scope, []).extend(window)
-        model_keys += int(view.get("model_keys", 0))
-    lookups = totals["cache_hits"] + totals["cache_misses"]
-    totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
-    merged = np.array(latencies) if latencies else None
-    totals["p50_latency_seconds"] = (
-        float(np.percentile(merged, 50.0)) if merged is not None else 0.0
-    )
-    totals["p99_latency_seconds"] = (
-        float(np.percentile(merged, 99.0)) if merged is not None else 0.0
-    )
-    for name, value in buffer_totals.items():
-        totals[f"observations_{name}"] = value
-    totals["shard_count"] = len(per_worker)
-    totals["model_keys"] = model_keys
-    backend_errors: dict[str, dict[str, float]] = {}
-    for (model, backend), window in merged_errors.items():
-        if window:
-            backend_errors.setdefault(model, {})[backend] = float(
-                sum(window) / len(window)
-            )
-    return {"aggregate": totals, "backend_errors": backend_errors}

@@ -15,13 +15,14 @@ bound address back through a pipe.  This is the piece that actually
 bypasses the GIL: each worker process serves its keys under its own
 interpreter, and fleet throughput is the sum.
 
-Migration across the process boundary reuses the in-process cluster's
-exact-snapshot hand-off verbatim, just split at the wire: ``migrate_out``
-performs the source half (flush → refit drain → drift/A-B evidence
-collection → trainer withdrawal) and returns one picklable bundle;
-``migrate_in`` performs the destination half (re-registration with
-``refit_backlog=False`` — a migration moves a model, it does not
-retrain).
+Migration across the process boundary moves the same
+:class:`~repro.cluster.shard.KeyState` the in-process cluster moves, with
+the backends encoded for the wire: ``migrate_out`` withdraws the key
+(:meth:`~repro.cluster.shard.ShardWorker.export_state`) and returns the
+state; ``migrate_in`` installs it
+(:meth:`~repro.cluster.shard.ShardWorker.install_state`) — a migration
+moves a model, it does not retrain.  Checkpoints write the same value to
+disk without withdrawing the key.
 """
 
 from __future__ import annotations
@@ -37,12 +38,8 @@ from typing import Any
 from repro.exceptions import NetError, ServingError, WorkerUnavailableError
 from repro.serving.policy import RefitPolicy
 from repro.serving.registry import ModelKey, normalize_key
-from repro.cluster.shard import ShardWorker
-from repro.net.checkpoint import (
-    CheckpointStore,
-    checkpoint_bundle,
-    restore_bundle,
-)
+from repro.cluster.shard import KeyState, ShardWorker
+from repro.net.checkpoint import CheckpointStore
 from repro.net.protocol import (
     Request,
     Response,
@@ -54,94 +51,7 @@ from repro.net.protocol import (
     send_message,
 )
 
-__all__ = [
-    "WorkerServer",
-    "WorkerProcess",
-    "run_worker",
-    "migration_bundle",
-    "install_bundle",
-]
-
-
-def migration_bundle(worker: ShardWorker, key: ModelKey) -> dict[str, Any]:
-    """Withdraw ``key`` from ``worker`` into one picklable hand-off bundle.
-
-    The source half of the cluster's exact-snapshot migration: buffered
-    feedback is replayed, in-flight refits publish, then the trainer,
-    drift evidence, per-backend A/B error windows, lifetime error
-    totals, any challenger (with its shadow fraction and evidence), and
-    raced buffer leftovers are collected.  After this returns the key no
-    longer exists on ``worker``.
-    """
-    worker.flush(key, blocking=True)
-    worker.service.drain()
-    drift_errors = worker.service.drift_errors(key)
-    backend_windows = {
-        backend: tuple(window)
-        for (model, backend), window
-        in worker.stats.backend_error_windows().items()
-        if model == str(key)
-    }
-    lifetime_totals = {
-        (model, backend): totals
-        for (model, backend), totals
-        in worker.stats.lifetime_error_totals().items()
-        if model == str(key)
-    }
-    challenger = None
-    challenger_errors: tuple[float, ...] = ()
-    shadow_frac = 1.0
-    if worker.has_challenger(key):
-        challenger_errors = worker.service.challenger_drift_errors(key)
-        shadow_frac = worker.service.challenger_shadow_frac(key)
-        challenger = encode_backend(worker.unregister_challenger(key))
-    trainer = encode_backend(worker.unregister_model(key))
-    leftovers = tuple(worker.buffer.discard(key))
-    return {
-        "key": key,
-        "trainer": trainer,
-        "drift_errors": tuple(drift_errors),
-        "backend_windows": backend_windows,
-        "lifetime_totals": lifetime_totals,
-        "challenger": challenger,
-        "challenger_errors": challenger_errors,
-        "shadow_frac": shadow_frac,
-        "leftovers": leftovers,
-    }
-
-
-def install_bundle(worker: ShardWorker, bundle: dict[str, Any]) -> ModelKey:
-    """Install a :func:`migration_bundle` on its destination worker.
-
-    ``refit_backlog=False`` republishes the exact model the source was
-    serving; unabsorbed feedback stays pending toward the destination's
-    refit policy — snapshot parity across the hand-off is exact.
-    """
-    key = bundle["key"]
-    trainer = decode_backend(bundle["trainer"])
-    worker.register_model(
-        key,
-        trainer,
-        refit_backlog=False,
-        initial_errors=bundle["drift_errors"],
-    )
-    if bundle["challenger"] is not None:
-        worker.register_challenger(
-            key,
-            decode_backend(bundle["challenger"]),
-            shadow_frac=bundle["shadow_frac"],
-            refit_backlog=False,
-            initial_errors=bundle["challenger_errors"],
-        )
-    for backend, window in bundle["backend_windows"].items():
-        worker.stats.record_backend_errors(key, backend, window)
-    if bundle["lifetime_totals"]:
-        worker.stats.absorb_lifetime_errors(bundle["lifetime_totals"])
-    for observation in bundle["leftovers"]:
-        worker.buffer.append(key, observation)
-    if bundle["leftovers"]:
-        worker.flush(key, blocking=True)
-    return key
+__all__ = ["WorkerServer", "WorkerProcess", "run_worker"]
 
 
 class WorkerServer:
@@ -243,11 +153,11 @@ class WorkerServer:
         restored = 0
         now = time.monotonic()
         existing = set(self._worker.model_keys())
-        for bundle in self._checkpoints.latest_bundles():
-            key = bundle["key"]
+        for state in self._checkpoints.latest_bundles():
+            key = state["key"]
             if key in existing:
                 continue
-            restore_bundle(self._worker, bundle)
+            self._worker.install_state(state, decode=decode_backend)
             self._worker.stats.record_checkpoint_restore()
             with self._ckpt_lock:
                 self._last_checkpoint[key] = now
@@ -257,17 +167,19 @@ class WorkerServer:
     def checkpoint_key(self, key: ModelKey) -> bool:
         """Checkpoint one key now (no-op without a store or the key).
 
-        The bundle capture flushes the key's buffered feedback and
-        encodes the trainer under its lock, so concurrent observes on
-        the same key block briefly — the price of a consistent bundle.
+        The state export flushes the key's buffered feedback and
+        encodes each trainer under its lock, so concurrent observes on
+        the same key block briefly — the price of a consistent state.
         """
         if self._checkpoints is None:
             return False
         try:
-            bundle = checkpoint_bundle(self._worker, key)
+            state = self._worker.export_state(
+                key, withdraw=False, encode=encode_backend
+            )
         except ServingError:
             return False  # the key was withdrawn mid-flight
-        self._checkpoints.save(bundle)
+        self._checkpoints.save(state)
         with self._ckpt_lock:
             self._writes_since[key] = 0
             self._last_checkpoint[key] = time.monotonic()
@@ -582,29 +494,20 @@ class WorkerServer:
         self._worker.drain(timeout)
 
     def _do_stats(self) -> dict[str, Any]:
-        stats = self._worker.stats
-        return {
-            "shard_id": self.shard_id,
-            "counters": dict(stats.counters()),
-            "latencies": tuple(stats.latency_values()),
-            "buffer": dict(self._worker.buffer.counters()),
-            "backend_error_windows": {
-                scope: tuple(window)
-                for scope, window in stats.backend_error_windows().items()
-            },
-            "model_keys": len(self._worker.model_keys()),
-        }
+        return self._worker.stats_view()
 
     def _do_migrate_out(
         self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> dict[str, Any]:
+    ) -> KeyState:
         key = normalize_key(table, columns)
-        bundle = migration_bundle(self._worker, key)
+        state = self._worker.export_state(
+            key, withdraw=True, encode=encode_backend
+        )
         self._discard_checkpoints(key)
-        return bundle
+        return state
 
-    def _do_migrate_in(self, bundle: dict[str, Any]) -> ModelKey:
-        key = install_bundle(self._worker, bundle)
+    def _do_migrate_in(self, bundle: KeyState) -> ModelKey:
+        key = self._worker.install_state(bundle, decode=decode_backend)
         if self._checkpoints is not None:
             self.checkpoint_key(key)
         return key

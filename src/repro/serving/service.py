@@ -512,11 +512,26 @@ class SelectivityService:
         columns: Sequence[str] = (),
         serializer: "Callable[[TrainableBackend], object] | None" = None,
     ) -> object:
-        """Serialise a key's live challenger trainer without withdrawing it."""
-        challenger = self._challenger_model(self._key(table, columns))
+        """Serialise a key's live challenger trainer without withdrawing it.
+
+        Like :meth:`unregister_challenger`, the mirror backlog is folded
+        into the trainer first, in the same trainer-lock hold as the
+        serialisation, so the export carries every mirrored observation
+        (including those queued while a challenger refit held the lock).
+        """
+        key = self._key(table, columns)
+        challenger = self._challenger_model(key)
         if serializer is None:
             serializer = copy.deepcopy
         with challenger.lock:
+            with challenger.mirror_lock:
+                if challenger.retired:
+                    raise ServingError(
+                        f"challenger for key {key} changed during export; retry"
+                    )
+                backlog = list(challenger.backlog)
+                challenger.backlog.clear()
+            self._absorb_mirrored_locked(key, challenger, backlog)
             return serializer(challenger.trainer)
 
     # ------------------------------------------------------------------

@@ -30,6 +30,30 @@ __all__ = ["ServingStats"]
 class ServingStats:
     """Counters and latency percentiles for a :class:`SelectivityService`."""
 
+    #: The plain counters, in :meth:`counters` order.  Fleet views sum
+    #: exactly these across shards and worker processes.
+    COUNTERS = (
+        "estimate_requests",
+        "batch_requests",
+        "predicates_served",
+        "cache_hits",
+        "cache_misses",
+        "observations",
+        "challenger_observations",
+        "refits_triggered",
+        "drift_refits_triggered",
+        "refits_completed",
+        "challenger_refits",
+        "promotions",
+        "sandwich_estimates",
+        "sandwich_learned",
+        "sandwich_independence",
+        "sandwich_upper_clamps",
+        "sandwich_lower_clamps",
+        "checkpoints_taken",
+        "checkpoint_restores",
+    )
+
     def __init__(
         self, latency_window: int = 4096, backend_error_window: int = 512
     ) -> None:
@@ -47,25 +71,8 @@ class ServingStats:
         # relative drift (shift) trigger.  Unlike the bounded windows
         # above these never forget (except on hand-off/unregister).
         self._lifetime_errors: dict[tuple[str, str], list[float]] = {}
-        self.estimate_requests = 0
-        self.batch_requests = 0
-        self.predicates_served = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.observations = 0
-        self.challenger_observations = 0
-        self.refits_triggered = 0
-        self.drift_refits_triggered = 0
-        self.refits_completed = 0
-        self.challenger_refits = 0
-        self.promotions = 0
-        self.sandwich_estimates = 0
-        self.sandwich_learned = 0
-        self.sandwich_independence = 0
-        self.sandwich_upper_clamps = 0
-        self.sandwich_lower_clamps = 0
-        self.checkpoints_taken = 0
-        self.checkpoint_restores = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Recording
@@ -371,27 +378,7 @@ class ServingStats:
         avoid touching the latency reservoir at all.
         """
         with self._lock:
-            return {
-                "estimate_requests": self.estimate_requests,
-                "batch_requests": self.batch_requests,
-                "predicates_served": self.predicates_served,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "observations": self.observations,
-                "challenger_observations": self.challenger_observations,
-                "refits_triggered": self.refits_triggered,
-                "drift_refits_triggered": self.drift_refits_triggered,
-                "refits_completed": self.refits_completed,
-                "challenger_refits": self.challenger_refits,
-                "promotions": self.promotions,
-                "sandwich_estimates": self.sandwich_estimates,
-                "sandwich_learned": self.sandwich_learned,
-                "sandwich_independence": self.sandwich_independence,
-                "sandwich_upper_clamps": self.sandwich_upper_clamps,
-                "sandwich_lower_clamps": self.sandwich_lower_clamps,
-                "checkpoints_taken": self.checkpoints_taken,
-                "checkpoint_restores": self.checkpoint_restores,
-            }
+            return {name: getattr(self, name) for name in self.COUNTERS}
 
     def snapshot(self) -> dict[str, object]:
         """A plain-dict view of every counter plus derived metrics.

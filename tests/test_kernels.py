@@ -2,9 +2,8 @@
 
 Covers the ISSUE 10 contracts:
 
-* the active kernel backend matches the NumPy reference to ≤1e-12
-  (float64) and ≤1e-6 (float32), property-tested over random, empty,
-  and degenerate boxes,
+* the NumPy kernels match a brute-force per-pair oracle to ≤1e-12,
+  property-tested over random, empty, and degenerate boxes,
 * ``owners_array`` certifies the identity permutation correctly
   (regression: an endpoints-only check passed ``[0, 0, 2]``),
 * the :class:`~repro.kernels.arena.KernelArena` reuses buffers and is
@@ -44,7 +43,6 @@ from repro.kernels import (
     get_arena,
     intersection_volumes,
     owners_array,
-    reference_backend,
     stack_pieces,
     weighted_overlap_estimates,
     weighted_overlap_estimates_into,
@@ -60,7 +58,31 @@ from repro.serving.cache import _model_key_of
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
 
-_REF = reference_backend()
+def _volumes_oracle(row_lower, row_upper, col_lower, col_upper):
+    """Box-intersection volumes, one pair and one dimension at a time."""
+    volumes = np.zeros((row_lower.shape[0], col_lower.shape[0]))
+    for i in range(row_lower.shape[0]):
+        for j in range(col_lower.shape[0]):
+            volume = 1.0
+            for k in range(row_lower.shape[1]):
+                low = max(row_lower[i, k], col_lower[j, k])
+                high = min(row_upper[i, k], col_upper[j, k])
+                volume *= max(high - low, 0.0)
+            volumes[i, j] = volume
+    return volumes
+
+
+def _estimates_oracle(
+    row_lower, row_upper, owners, count, col_lower, col_upper,
+    weight_over_volume,
+):
+    """Per-predicate clipped sums of piece overlaps times weight/volume."""
+    volumes = _volumes_oracle(row_lower, row_upper, col_lower, col_upper)
+    estimates = np.zeros(count)
+    for i, owner in enumerate(owners):
+        for j in range(col_lower.shape[0]):
+            estimates[owner] += volumes[i, j] * weight_over_volume[j]
+    return np.clip(estimates, 0.0, 1.0)
 
 
 def _random_bounds(rng, count, dimension, degenerate_frac=0.0):
@@ -89,29 +111,17 @@ def bounds_case(draw):
 class TestKernelBackend:
     def test_backend_report_is_explicit(self):
         report = kernels.backend_report()
-        assert report["backend"] in ("numba", "numpy")
-        assert report["backend"] == kernels.KERNEL_BACKEND
-        assert report["reason"] == kernels.KERNEL_BACKEND_REASON
-        assert report["reason"]  # never a silent downgrade
+        assert report["backend"] == "numpy"
+        assert report["numpy"] == np.__version__
 
     @settings(max_examples=60, deadline=None)
     @given(case=bounds_case())
     def test_intersection_volumes_matches_reference_f64(self, case):
         row_lower, row_upper, col_lower, col_upper = case
         active = intersection_volumes(row_lower, row_upper, col_lower, col_upper)
-        reference = _REF.intersection_volumes(
-            row_lower, row_upper, col_lower, col_upper
-        )
-        np.testing.assert_allclose(active, reference, atol=1e-12, rtol=0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=bounds_case())
-    def test_intersection_volumes_matches_reference_f32(self, case):
-        arrays = [a.astype(np.float32) for a in case]
-        active = intersection_volumes(*arrays)
-        reference = _REF.intersection_volumes(*[a.astype(np.float64) for a in arrays])
-        assert active.dtype == np.float32
-        np.testing.assert_allclose(active, reference, atol=1e-6, rtol=1e-6)
+        oracle = _volumes_oracle(row_lower, row_upper, col_lower, col_upper)
+        assert active.shape == oracle.shape
+        np.testing.assert_allclose(active, oracle, atol=1e-12, rtol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(case=bounds_case(), seed=st.integers(0, 2**31 - 1))
@@ -125,11 +135,11 @@ class TestKernelBackend:
             row_lower, row_upper, owners, max(n, 1),
             col_lower, col_upper, weight_over_volume,
         )
-        reference = _REF.weighted_overlap_estimates(
+        oracle = _estimates_oracle(
             row_lower, row_upper, owners, max(n, 1),
             col_lower, col_upper, weight_over_volume,
         )
-        np.testing.assert_allclose(active, reference, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(active, oracle, atol=1e-12, rtol=0)
         assert (active >= 0.0).all() and (active <= 1.0).all()
 
     def test_into_variant_matches_allocating_variant(self):
@@ -269,9 +279,6 @@ class TestArena:
         rows = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
         view = stack_pieces(rows, "s", arena)
         np.testing.assert_array_equal(view, [[1.0, 2.0], [3.0, 4.0]])
-        f32 = stack_pieces(rows, "s32", arena, np.float32)
-        assert f32.dtype == np.float32
-        np.testing.assert_allclose(f32, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def _mixture_model(seed=0, components=12, dimension=2):
@@ -287,22 +294,6 @@ def _mixture_model(seed=0, components=12, dimension=2):
 
 
 class TestModelBatchKernels:
-    def test_mixture_estimate_from_bounds_float32_parity(self):
-        model = _mixture_model()
-        rng = np.random.default_rng(3)
-        piece_lower, piece_upper = [], []
-        for _ in range(9):
-            low = rng.uniform(0.0, 0.7, size=2)
-            piece_lower.append(low)
-            piece_upper.append(low + rng.uniform(0.05, 0.3, size=2))
-        owners = list(range(9))
-        full = model.estimate_from_bounds(piece_lower, piece_upper, owners, 9)
-        half = model.estimate_from_bounds(
-            piece_lower, piece_upper, owners, 9, dtype=np.float32
-        )
-        assert half.dtype == np.float32
-        np.testing.assert_allclose(half, full, atol=1e-6, rtol=1e-6)
-
     def test_mixture_batch_matches_scalar(self):
         model = _mixture_model(seed=4)
         rng = np.random.default_rng(9)

@@ -1,0 +1,256 @@
+"""One per-key state value across every transport.
+
+A key's learned state — trainer, drift window, A/B challenger, error
+history — leaves a shard as one :class:`~repro.cluster.shard.KeyState`
+and re-enters another through ``install_state``.  These tests load a
+key with every kind of evidence and check that it arrives intact over
+each transport: an in-process resize, a wire migration between worker
+servers, and a disk checkpoint restored into a fresh worker.
+"""
+
+from __future__ import annotations
+
+import copy
+import threading
+
+import numpy as np
+import pytest
+
+from repro.cluster import ShardedSelectivityService, ShardWorker
+from repro.core.config import QuickSelConfig
+from repro.core.quicksel import QuickSel
+from repro.net import CheckpointStore, WorkerServer, connect, encode_backend
+from repro.serving import ModelKey, RefitPolicy
+from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
+from repro.workloads.synthetic import gaussian_dataset
+
+PARITY = 1e-12
+
+# Neither trigger can fire, so the drift windows survive to the hand-off.
+QUIET = RefitPolicy(min_new_observations=10_000, drift_threshold=1.0)
+
+# The fields checkpoints carried before states took raced buffer
+# leftovers along; such files must still restore.
+CHECKPOINT_FIELDS = (
+    "key",
+    "trainer",
+    "drift_errors",
+    "backend_windows",
+    "lifetime_totals",
+    "challenger",
+    "challenger_errors",
+    "shadow_frac",
+    "feedback_count",
+)
+
+
+@pytest.fixture(scope="module")
+def workload():
+    dataset = gaussian_dataset(1200, dimension=2, correlation=0.5, seed=51)
+    generator = RandomRangeQueryGenerator(dataset.domain, seed=52)
+    feedback = labelled_feedback(generator.generate(40), dataset.rows)
+    probes = RandomRangeQueryGenerator(dataset.domain, seed=53).generate(20)
+    champion = QuickSel(dataset.domain, QuickSelConfig(random_seed=5))
+    champion.observe_many(feedback[:20], refit=True)
+    challenger = QuickSel(dataset.domain, QuickSelConfig(random_seed=6))
+    challenger.observe_many(feedback[:10], refit=True)
+    return dataset, feedback, probes, champion, challenger
+
+
+def _load(worker: ShardWorker, workload) -> ModelKey:
+    """Register a champion and a half-shadowing challenger, then observe."""
+    _, feedback, _, champion, challenger = workload
+    key = worker.register_model("orders", copy.deepcopy(champion))
+    worker.register_challenger(key, copy.deepcopy(challenger), shadow_frac=0.5)
+    for predicate, selectivity in feedback[20:32]:
+        worker.observe(key, predicate, selectivity)
+    worker.drain()
+    return key
+
+
+def _observed(trainer) -> int:
+    return trainer.observed_count
+
+
+def _evidence(worker: ShardWorker, key: ModelKey, probes) -> dict:
+    """Everything a hand-off must carry, read off a serving worker."""
+    service = worker.service
+    scope = str(key)
+    return {
+        "feedback_count": worker.feedback_count(key),
+        "champion_observed": service.export_trainer(key, serializer=_observed),
+        "challenger_observed": service.export_challenger(
+            key, serializer=_observed
+        ),
+        "drift_errors": service.drift_errors(key),
+        "challenger_errors": service.challenger_drift_errors(key),
+        "shadow_frac": service.challenger_shadow_frac(key),
+        "backend_windows": {
+            backend: window
+            for (model, backend), window
+            in worker.stats.backend_error_windows().items()
+            if model == scope
+        },
+        "lifetime_totals": {
+            backend: totals
+            for (model, backend), totals
+            in worker.stats.lifetime_error_totals().items()
+            if model == scope
+        },
+        "estimates": worker.estimate_batch(key, probes),
+        "challenger_estimates": worker.challenger_snapshot_for(
+            key
+        ).estimate_many(probes),
+    }
+
+
+def _assert_same_evidence(got: dict, expected: dict) -> None:
+    for name in ("estimates", "challenger_estimates"):
+        assert np.max(np.abs(got[name] - expected[name])) <= PARITY, name
+    for name, value in expected.items():
+        if name not in ("estimates", "challenger_estimates"):
+            assert got[name] == value, name
+
+
+def _via_resize(workload, tmp_path):
+    cluster = ShardedSelectivityService(
+        num_shards=1, policy=QUIET, scheduler_mode="inline"
+    )
+    try:
+        home = cluster.shard_for("orders")
+        source = cluster.shard(home)
+        key = _load(source, workload)
+        before = _evidence(source, key, workload[2])
+        for _ in range(16):
+            cluster.add_shard()
+            if cluster.shard_for(key) != home:
+                break
+        owner = cluster.shard(cluster.shard_for(key))
+        assert owner is not source
+        assert key not in source.model_keys()
+        return before, _evidence(owner, key, workload[2])
+    finally:
+        cluster.close()
+
+
+def _via_wire(workload, tmp_path):
+    servers = [
+        WorkerServer(shard_id=name, policy=QUIET) for name in ("w1", "w2")
+    ]
+    clients = []
+    try:
+        for server in servers:
+            server.start()
+            clients.append(connect("127.0.0.1", server.port))
+        source, dest = servers
+        key = _load(source.worker, workload)
+        before = _evidence(source.worker, key, workload[2])
+        state = clients[0]._call("migrate_out", {"table": key})
+        clients[1]._call("migrate_in", {"bundle": state})
+        assert key not in source.worker.model_keys()
+        return before, _evidence(dest.worker, key, workload[2])
+    finally:
+        for client in clients:
+            client.close()
+        for server in servers:
+            server.close()
+
+
+def _via_checkpoint(workload, tmp_path):
+    directory = str(tmp_path / "w1")
+    source = WorkerServer(shard_id="w1", policy=QUIET, checkpoint_dir=directory)
+    try:
+        key = _load(source.worker, workload)
+        assert source.checkpoint_key(key)
+        before = _evidence(source.worker, key, workload[2])
+    finally:
+        source.close()
+    restored = WorkerServer(
+        shard_id="w1", policy=QUIET, checkpoint_dir=directory
+    )
+    try:
+        return before, _evidence(restored.worker, key, workload[2])
+    finally:
+        restored.close()
+
+
+@pytest.mark.parametrize(
+    "transport",
+    [_via_resize, _via_wire, _via_checkpoint],
+    ids=["add_shard", "migrate_out-migrate_in", "checkpoint-restore"],
+)
+def test_every_field_arrives_equal(transport, workload, tmp_path):
+    before, after = transport(workload, tmp_path)
+    # The key really carried evidence of every kind.
+    assert before["drift_errors"] and before["challenger_errors"]
+    assert before["shadow_frac"] == 0.5
+    assert set(before["backend_windows"]) == {
+        "QuickSel", "QuickSel@challenger"
+    }
+    assert set(before["lifetime_totals"]) == set(before["backend_windows"])
+    _assert_same_evidence(after, before)
+
+
+def test_checkpoint_without_leftovers_still_restores(workload, tmp_path):
+    """A checkpoint file holding only the older checkpoint fields (no
+    ``leftovers``) boots a worker serving exactly what it captured."""
+    source = ShardWorker("w0", policy=QUIET, scheduler_mode="inline")
+    try:
+        key = _load(source, workload)
+        before = _evidence(source, key, workload[2])
+        state = source.export_state(key, withdraw=False, encode=encode_backend)
+    finally:
+        source.close()
+    CheckpointStore(tmp_path / "w1").save(
+        {field: state[field] for field in CHECKPOINT_FIELDS}
+    )
+    restored = WorkerServer(
+        shard_id="w1", policy=QUIET, checkpoint_dir=str(tmp_path / "w1")
+    )
+    try:
+        _assert_same_evidence(_evidence(restored.worker, key, workload[2]), before)
+    finally:
+        restored.close()
+
+
+def test_checkpoint_carries_the_challenger_mirror_backlog(workload, tmp_path):
+    """Feedback mirrored while a challenger refit holds its trainer lock
+    waits in the mirror backlog; a checkpoint must carry it."""
+    dataset, feedback, _, champion, _ = workload
+    directory = str(tmp_path / "w1")
+    server = WorkerServer(shard_id="w1", policy=QUIET, checkpoint_dir=directory)
+    try:
+        worker = server.worker
+        key = worker.register_model("orders", copy.deepcopy(champion))
+        worker.register_challenger(
+            key, QuickSel(dataset.domain, QuickSelConfig(random_seed=7))
+        )
+        for predicate, selectivity in feedback[20:23]:
+            worker.observe(key, predicate, selectivity)
+        holding = threading.Event()
+        release = threading.Event()
+
+        def hold_challenger_lock():
+            with worker.service._challenger_model(key).lock:
+                holding.set()
+                release.wait(timeout=10)
+
+        holder = threading.Thread(target=hold_challenger_lock)
+        holder.start()
+        assert holding.wait(timeout=10)
+        worker.observe(key, *feedback[23])
+        release.set()
+        holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert server.checkpoint_key(key)
+        worker.drain()
+        expected = worker.service.export_challenger(key, serializer=_observed)
+    finally:
+        server.close()
+    assert expected == 4
+    restored = WorkerServer(shard_id="w1", policy=QUIET, checkpoint_dir=directory)
+    try:
+        service = restored.worker.service
+        assert service.export_challenger(key, serializer=_observed) == expected
+    finally:
+        restored.close()

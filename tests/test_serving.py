@@ -130,26 +130,35 @@ class TestRegistry:
         self, trained_world
     ):
         """Readers racing a publisher must only ever see complete snapshots
-        with monotonically non-decreasing versions."""
+        with monotonically non-decreasing versions.
+
+        The models are trained up front and every thread does a fixed
+        amount of work, so the race is the publishes themselves and the
+        test's length does not depend on how the GIL is scheduled.
+        """
         dataset, feedback, _ = trained_world
         registry = EstimatorRegistry()
         key = ModelKey("t")
         trainer = QuickSel(dataset.domain, QuickSelConfig(random_seed=1))
         registry.register(key, dataset.domain)
+        models = []
+        for count in range(5, 45, 5):
+            trainer.observe_many(feedback[:count])
+            trainer.refit()
+            models.append((trainer.model, trainer.observed_count))
         probe = feedback[100][0]
         errors: list[str] = []
-        stop = threading.Event()
+        start = threading.Barrier(5)
 
         def publisher():
-            for count in range(5, 45, 5):
-                trainer.observe_many(feedback[:count])
-                trainer.refit()
-                registry.publish(key, trainer.model, trainer.observed_count)
-            stop.set()
+            start.wait()
+            for model, trained_on in models:
+                registry.publish(key, model, trained_on)
 
         def reader():
+            start.wait()
             last_version = -1
-            while not stop.is_set():
+            for _ in range(200):
                 snapshot = registry.current(key)
                 if snapshot.version < last_version:
                     errors.append(
@@ -167,6 +176,7 @@ class TestRegistry:
             thread.start()
         for thread in readers + [writer]:
             thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in readers + [writer])
         assert not errors
         assert registry.current(key).version == 8
 
