@@ -7,7 +7,8 @@ to a fleet of independent shards behind the same API:
 * :mod:`repro.cluster.router` — :class:`ShardRouter`, a stable
   consistent-hash ring assigning each
   :class:`~repro.serving.registry.ModelKey` to one shard, with minimal
-  deterministic migration on membership change;
+  deterministic migration on membership change, and the fleet decisions
+  this cluster and the process gateway share;
 * :mod:`repro.cluster.buffer` — :class:`ObservationBuffer`, the
   non-blocking write path: feedback enqueues without touching the
   trainer lock and replays right after each snapshot publish, so writers
@@ -16,11 +17,12 @@ to a fleet of independent shards behind the same API:
   serving stack (registry, cache, scheduler, stats) plus the buffer;
 * :mod:`repro.cluster.service` — :class:`ShardedSelectivityService`, the
   front-end: routes single-key traffic, fans mixed-key batches out
-  across shards (reassembled in input order), and supports elastic
-  ``add_shard`` / ``remove_shard``;
-* :mod:`repro.cluster.stats` — :class:`ClusterStats`, per-shard metrics
-  aggregated into one fleet view (summed counters, true hit rate,
-  merged latency percentiles).
+  across shards (one thread-pool task per shard, reassembled in input
+  order), and supports elastic ``add_shard`` / ``remove_shard``;
+* :mod:`repro.cluster.stats` — ``merge_worker_stats``, the one fold of
+  per-shard stats views into the fleet aggregate and per-shard entries
+  (summed counters, true hit rate, merged latency percentiles), and
+  :class:`ClusterStats`, this cluster's view over that fold.
 
 Because :class:`ShardedSelectivityService` satisfies the
 :class:`~repro.serving.adapter.SelectivityServing` protocol, everything

@@ -16,6 +16,11 @@ a classic consistent-hash ring:
   deterministic migration set the cluster's add/remove protocol relies
   on.
 
+Both fleet front ends (the in-process cluster and the process gateway)
+split bursts by owner, plan migrations and share one drain budget with
+:meth:`ShardRouter.split`, :meth:`ShardRouter.moves` and
+:func:`drain_budget`.
+
 The router itself holds no locks; the cluster serialises membership
 changes and routing lookups behind its own lock.
 """
@@ -24,12 +29,16 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from collections.abc import Iterable, Sequence
+import time
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import TypeVar
 
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, ServingError
 from repro.serving.registry import ModelKey
 
-__all__ = ["ShardRouter"]
+__all__ = ["ShardRouter", "drain_budget"]
+
+Member = TypeVar("Member")
 
 _SEPARATOR = "\x1f"
 
@@ -106,9 +115,23 @@ class ShardRouter:
         ) % len(self._points)
         return self._owners[index]
 
-    def route_many(self, keys: Sequence[ModelKey]) -> list[str]:
-        """Route a batch of keys (one membership view for the whole batch)."""
-        return [self.route(key) for key in keys]
+    def split(self, keys: Iterable[ModelKey]) -> dict[str, list[ModelKey]]:
+        """Group keys by owning shard, each group in input order."""
+        owned: dict[str, list[ModelKey]] = {}
+        for key in keys:
+            owned.setdefault(self.route(key), []).append(key)
+        return owned
+
+    def moves(
+        self, placements: Mapping[ModelKey, str]
+    ) -> list[tuple[ModelKey, str, str]]:
+        """``(key, old owner, new owner)``, sorted by key, for every key
+        whose route no longer matches its pre-change ``placements``."""
+        return [
+            (key, owner, target)
+            for key, owner in sorted(placements.items())
+            if (target := self.route(key)) != owner
+        ]
 
     # ------------------------------------------------------------------
     # Internals
@@ -130,3 +153,23 @@ class ShardRouter:
             f"ShardRouter(shards={len(self._shards)}, "
             f"replicas={self._replicas})"
         )
+
+
+def drain_budget(
+    members: Sequence[Member], timeout: float | None, noun: str
+) -> Iterator[tuple[Member, float | None]]:
+    """Yield each member with what is left of a *total* ``timeout``.
+
+    ``None`` means unbounded for everyone.  When the budget runs out
+    before a member's turn, raises :class:`ServingError` naming how many
+    members (called ``noun`` in the message) were still undrained.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    for position, member in enumerate(members):
+        remaining = None if deadline is None else deadline - time.monotonic()
+        if remaining is not None and remaining <= 0:
+            raise ServingError(
+                f"drain budget of {timeout}s exhausted with "
+                f"{len(members) - position} {noun}(s) undrained"
+            )
+        yield member, remaining

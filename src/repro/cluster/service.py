@@ -12,27 +12,29 @@ shard cannot touch another shard's traffic, and per-shard cache capacity
 adds up as the fleet grows — the property the cluster benchmark
 measures.
 
-Cross-shard batching: :meth:`estimate_batch_mixed` splits a mixed-key
-burst by shard, fans the per-shard groups out on a thread pool, keeps
-PR 1's per-key vectorised fast path within each shard, and reassembles
-results in input order.
+Cross-shard batching: :meth:`estimate_batch_mixed` groups a mixed-key
+burst by key (:func:`~repro.serving.registry.group_by_key`), splits the
+keys by shard (:meth:`~repro.cluster.router.ShardRouter.split`), runs
+one thread-pool task per involved shard — each key through the shard's
+vectorised ``estimate_batch`` — and reassembles results in input order.
+The gateway makes the same decisions over worker processes.
 
 Elasticity: :meth:`add_shard` / :meth:`remove_shard` change the ring and
 migrate exactly the keys whose route changed (the consistent-hash
-minimal set), each by drain → buffered-feedback flush → trainer hand-off
-→ re-registration on the destination, so a resize never loses feedback
+minimal set, planned by :meth:`~repro.cluster.router.ShardRouter.moves`),
+each by drain → buffered-feedback flush → trainer hand-off →
+re-registration on the destination, so a resize never loses feedback
 and never serves from a half-moved model.
 
 Observability: :attr:`stats` is a
-:class:`~repro.cluster.stats.ClusterStats` aggregating per-shard hit
-rates, merged latency percentiles, refit and buffer counters into one
-fleet view.
+:class:`~repro.cluster.stats.ClusterStats`, a view over the one fleet
+fold (:func:`~repro.cluster.stats.merge_worker_stats`) that the gateway's
+``fleet_stats()`` runs over its workers too.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,9 +43,9 @@ import numpy as np
 from repro.estimators.backend import TrainableBackend, as_backend
 from repro.exceptions import ClusterError, ServingError
 from repro.serving.policy import RefitPolicy
-from repro.serving.registry import ModelKey, normalize_key
+from repro.serving.registry import ModelKey, group_by_key, normalize_key
 from repro.serving.snapshot import ModelSnapshot
-from repro.cluster.router import ShardRouter
+from repro.cluster.router import ShardRouter, drain_budget
 from repro.cluster.shard import ShardWorker
 from repro.cluster.stats import ClusterStats
 
@@ -63,15 +65,13 @@ class ShardedSelectivityService:
         scheduler_mode: str = "background",
         buffer_capacity: int | None = None,
         replicas: int = 64,
-        fanout_threads: bool = True,
     ) -> None:
         """Build a cluster of ``num_shards`` identically configured shards.
 
         ``cache_capacity`` / ``per_key_cache_budget`` / ``policy`` /
         ``scheduler_mode`` / ``buffer_capacity`` apply *per shard* (each
         shard models one node with its own resources).  ``replicas``
-        controls ring granularity; ``fanout_threads=False`` evaluates
-        cross-shard batches sequentially (deterministic profiling mode).
+        controls ring granularity.
         """
         if shard_ids is None:
             if num_shards < 1:
@@ -94,12 +94,8 @@ class ShardedSelectivityService:
         self._router = ShardRouter(shard_ids, replicas=replicas)
         self._lock = threading.RLock()
         self._next_shard_index = len(shard_ids)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=16, thread_name_prefix="repro-cluster"
-            )
-            if fanout_threads
-            else None
+        self._pool = ThreadPoolExecutor(
+            max_workers=16, thread_name_prefix="repro-cluster"
         )
         self._stats = ClusterStats(self)
         self._closed = False
@@ -322,77 +318,54 @@ class ShardedSelectivityService:
     ) -> np.ndarray:
         """Mixed-key burst: split by shard, fan out, reassemble in order.
 
-        Grouping happens under the routing lock (one consistent
+        The split happens under the routing lock (one consistent
         membership view per burst); evaluation happens outside it, one
         thread-pool task per involved shard, each running its keys
         through the shard's vectorised ``estimate_batch``.  Results land
         at the index their pair came in.  A key that migrates while the
-        burst is in flight is re-routed and retried once.
+        burst is in flight is re-routed and retried once, inside its
+        shard's task.
         """
         pairs = list(pairs)
         results = np.empty(len(pairs))
-        if not pairs:
-            return results
-        # Group by key before touching the lock: normalize_key is pure,
-        # and routing once per *unique* key (not per pair) keeps the
-        # ring hashing — and the routing-lock hold — proportional to the
+        # Group by key before touching the lock: grouping is pure, and
+        # routing once per *unique* key (not per pair) keeps the ring
+        # hashing — and the routing-lock hold — proportional to the
         # number of models in the burst, not its length.
-        groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
-        for index, (table, predicate) in enumerate(pairs):
-            key = normalize_key(table, ())
-            indices, predicates = groups.setdefault(key, ([], []))
-            indices.append(index)
-            predicates.append(predicate)
+        groups = group_by_key(pairs)
         with self._lock:
-            shard_groups: dict[
-                str, dict[ModelKey, tuple[list[int], list[object]]]
-            ] = {}
-            for key, group in groups.items():
-                shard_groups.setdefault(self._router.route(key), {})[key] = group
-            workers = {
-                shard_id: self._workers[shard_id] for shard_id in shard_groups
-            }
+            tasks = [
+                (self._workers[shard_id], keys)
+                for shard_id, keys in self._router.split(groups).items()
+            ]
             closed = self._closed
-        misrouted: list[tuple[ModelKey, list[int], list[object]]] = []
-        misrouted_lock = threading.Lock()
 
-        def run_shard(
-            worker: ShardWorker,
-            by_key: dict[ModelKey, tuple[list[int], list[object]]],
-        ) -> None:
-            for key, (indices, predicates) in by_key.items():
+        def run_shard(worker: ShardWorker, keys: list[ModelKey]) -> None:
+            for key in keys:
+                indices, predicates = groups[key]
                 try:
                     values = worker.estimate_batch(key, predicates)
                 except ServingError:
-                    # The key moved (or never lived here); retry below
-                    # against a fresh routing view.
-                    with misrouted_lock:
-                        misrouted.append((key, indices, predicates))
-                    continue
+                    # The key moved (or never lived here): re-route it.
+                    values = self._with_worker(
+                        key, lambda owner: owner.estimate_batch(key, predicates)
+                    )
                 results[indices] = values
 
-        if self._pool is not None and len(shard_groups) > 1 and not closed:
+        if len(tasks) > 1 and not closed:
             try:
-                futures = [
-                    self._pool.submit(run_shard, workers[shard_id], by_key)
-                    for shard_id, by_key in shard_groups.items()
-                ]
+                futures = [self._pool.submit(run_shard, *task) for task in tasks]
             except RuntimeError:
-                # close() shut the pool between our grouping and the
-                # submit; serve sequentially like single-key reads on a
-                # closed cluster do, instead of leaking a raw pool error.
-                for shard_id, by_key in shard_groups.items():
-                    run_shard(workers[shard_id], by_key)
+                # close() shut the pool between the split and the submit;
+                # serve sequentially like single-key reads on a closed
+                # cluster do, instead of leaking a raw pool error.
+                pass
             else:
                 for future in futures:
                     future.result()
-        else:
-            for shard_id, by_key in shard_groups.items():
-                run_shard(workers[shard_id], by_key)
-        for key, indices, predicates in misrouted:
-            results[indices] = self._with_worker(
-                key, lambda worker, k=key, p=predicates: worker.estimate_batch(k, p)
-            )
+                return results
+        for task in tasks:
+            run_shard(*task)
         return results
 
     # ------------------------------------------------------------------
@@ -441,16 +414,7 @@ class ShardedSelectivityService:
         """
         with self._lock:
             workers = tuple(self._workers.values())
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for position, worker in enumerate(workers):
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServingError(
-                        f"drain budget of {timeout}s exhausted with "
-                        f"{len(workers) - position} shard(s) undrained"
-                    )
+        for worker, remaining in drain_budget(workers, timeout, "shard"):
             worker.drain(remaining)
 
     # ------------------------------------------------------------------
@@ -485,20 +449,12 @@ class ShardedSelectivityService:
                 for owner, worker in self._workers.items()
                 for key in worker.model_keys()
             }
-            worker = ShardWorker(shard_id, **self._shard_config)
-            self._workers[shard_id] = worker
-            self._router.add(shard_id)
-            moved = sorted(
-                (key, owner)
-                for key, owner in placements.items()
-                if self._router.route(key) != owner
+            self._workers[shard_id] = ShardWorker(
+                shard_id, **self._shard_config
             )
-            for key, owner in moved:
-                self._migrate(
-                    key,
-                    self._workers[owner],
-                    self._workers[self._router.route(key)],
-                )
+            self._router.add(shard_id)
+            for key, old, new in self._router.moves(placements):
+                self._migrate(key, self._workers[old], self._workers[new])
             return shard_id
 
     def remove_shard(self, shard_id: str) -> int:
@@ -516,14 +472,14 @@ class ShardedSelectivityService:
                 raise ClusterError("cannot remove the last shard")
             source = self._workers[shard_id]
             self._router.remove(shard_id)
-            keys = sorted(source.model_keys())
-            for key in keys:
-                self._migrate(
-                    key, source, self._workers[self._router.route(key)]
-                )
+            moved = self._router.moves(
+                dict.fromkeys(source.model_keys(), shard_id)
+            )
+            for key, _, new in moved:
+                self._migrate(key, source, self._workers[new])
             del self._workers[shard_id]
             source.close()
-            return len(keys)
+            return len(moved)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -546,8 +502,7 @@ class ShardedSelectivityService:
             if self._closed:
                 return
             workers = tuple(self._workers.values())
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         for worker in workers:
             worker.close()
         with self._lock:

@@ -173,6 +173,7 @@ class ShardWorker:
             "counters": stats.counters(),
             "latencies": stats.latency_values(),
             "buffer": self._buffer.counters(),
+            "refits_coalesced": self._scheduler.coalesced,
             "backend_error_windows": stats.backend_error_windows(),
             "model_keys": len(self.model_keys()),
         }

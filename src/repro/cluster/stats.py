@@ -7,11 +7,11 @@ such views.  Counters sum across shards; the cache hit rate is
 recomputed from the summed hit/miss counts (a mean of per-shard rates
 would weight an idle shard like a hot one); latency percentiles are
 computed over the *merged* per-shard latency reservoirs (percentiles do
-not average).  :class:`ClusterStats` presents a
+not average).  The same fold over each single view gives the per-shard
+entries, so operators can spot a hot or unbalanced shard at a glance in
+one schema.  :class:`ClusterStats` presents a
 :class:`~repro.cluster.service.ShardedSelectivityService` through that
-fold and keeps the per-shard view alongside the aggregate, so operators
-can spot a hot or unbalanced shard at a glance; the gateway's
-``fleet_stats()`` runs the same fold over its workers' views.
+fold; the gateway's ``fleet_stats()`` runs it over its workers' views.
 
 Counters cover the *live* fleet: like any per-node metrics system, a
 shard retired by ``remove_shard`` takes its history with it (its keys'
@@ -26,7 +26,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.exceptions import ServingError
 from repro.serving.stats import ServingStats
 
 __all__ = ["ClusterStats", "merge_worker_stats"]
@@ -42,6 +41,7 @@ def _aggregate(views: Sequence[Mapping[str, Any]]) -> dict[str, float]:
     buffer_totals = dict.fromkeys(_BUFFER_COUNTERS, 0)
     latencies: list[float] = []
     model_keys = 0
+    coalesced = 0
     for view in views:
         counters = view.get("counters", {})
         for name in ServingStats.COUNTERS:
@@ -51,6 +51,7 @@ def _aggregate(views: Sequence[Mapping[str, Any]]) -> dict[str, float]:
             if name in buffer_totals:
                 buffer_totals[name] += value
         model_keys += int(view.get("model_keys", 0))
+        coalesced += int(view.get("refits_coalesced", 0))
     lookups = totals["cache_hits"] + totals["cache_misses"]
     totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
     merged = np.array(latencies) if latencies else None
@@ -64,6 +65,7 @@ def _aggregate(views: Sequence[Mapping[str, Any]]) -> dict[str, float]:
         totals[f"observations_{name}"] = value
     totals["shard_count"] = len(views)
     totals["model_keys"] = model_keys
+    totals["refits_coalesced"] = coalesced
     return totals
 
 
@@ -100,19 +102,26 @@ def merge_worker_stats(
     :meth:`~repro.cluster.shard.ShardWorker.stats_view` builds (what a
     worker server's ``stats`` method returns): ``counters``
     (ServingStats counters), ``latencies`` (the latency reservoir),
-    ``buffer`` (ObservationBuffer counters), ``backend_error_windows``
-    and ``model_keys``.  Returns ``{"aggregate": ..., "backend_errors":
-    ...}``, the same schema whether the fleet is threads or processes.
+    ``buffer`` (ObservationBuffer counters), ``refits_coalesced``,
+    ``backend_error_windows`` and ``model_keys``.  Returns
+    ``{"aggregate": ..., "per_shard": ..., "backend_errors": ...}``,
+    where each ``per_shard`` entry is the same fold over that one view,
+    so both come from the same read.  The schema is the same whether
+    the fleet is threads or processes.
     """
     views = list(per_worker.values())
     return {
         "aggregate": _aggregate(views),
+        "per_shard": {
+            name: _aggregate([view]) for name, view in per_worker.items()
+        },
         "backend_errors": _backend_errors(views),
     }
 
 
 class ClusterStats:
-    """Aggregated metrics across every shard of a sharded service."""
+    """A sharded service's fleet metrics: one :func:`merge_worker_stats`
+    fold over one ``stats_view()`` read of every live shard per call."""
 
     def __init__(self, cluster) -> None:
         self._cluster = cluster
@@ -120,100 +129,61 @@ class ClusterStats:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def per_shard(self) -> dict[str, dict[str, float]]:
-        """Each shard's serving-stats snapshot plus its buffer counters."""
-        views: dict[str, dict[str, float]] = {}
-        for shard_id, worker in self._workers().items():
-            view = worker.stats.snapshot()
-            view["model_keys"] = len(worker.model_keys())
-            for name, value in worker.buffer.counters().items():
-                view[f"observations_{name}"] = value
-            view["refits_coalesced"] = worker.scheduler.coalesced
-            views[shard_id] = view
-        return views
-
-    def backend_errors(self) -> dict[str, dict[str, float]]:
-        """Fleet-wide per-``{model key: {backend: mean |error|}}`` view."""
-        return _backend_errors(self._views())
+    def snapshot(self) -> dict[str, object]:
+        """Aggregate, per-shard breakdown and backend errors, as plain dicts."""
+        return merge_worker_stats(
+            {
+                shard_id: worker.stats_view()
+                for shard_id, worker in self._cluster._workers_snapshot().items()
+            }
+        )
 
     def aggregate(self) -> dict[str, float]:
         """One fleet-wide view: summed counters, true hit rate, merged
         latency percentiles."""
-        return _aggregate(self._views())
+        return self.snapshot()["aggregate"]
 
-    def snapshot(self) -> dict[str, object]:
-        """Aggregate plus per-shard breakdown, as plain dicts."""
-        views = self._views()
-        return {
-            "aggregate": _aggregate(views),
-            "per_shard": self.per_shard(),
-            "backend_errors": _backend_errors(views),
-        }
+    def per_shard(self) -> dict[str, dict[str, float]]:
+        """Each shard's own fold: counters, hit rate, percentiles, buffer."""
+        return self.snapshot()["per_shard"]
+
+    def backend_errors(self) -> dict[str, dict[str, float]]:
+        """Fleet-wide per-``{model key: {backend: mean |error|}}`` view."""
+        return self.snapshot()["backend_errors"]
 
     # ------------------------------------------------------------------
     # Convenience properties (mirror ServingStats where they make sense)
     # ------------------------------------------------------------------
-    def _summed(self, *names: str) -> dict[str, int]:
-        """Sum specific counters without touching latency reservoirs."""
-        totals = dict.fromkeys(names, 0)
-        for worker in self._workers().values():
-            counters = worker.stats.counters()
-            for name in names:
-                totals[name] += counters[name]
-        return totals
-
     @property
     def hit_rate(self) -> float:
         """Fleet-wide cache hit rate over all predicates served."""
-        totals = self._summed("cache_hits", "cache_misses")
-        lookups = totals["cache_hits"] + totals["cache_misses"]
-        return totals["cache_hits"] / lookups if lookups else 0.0
+        return self.aggregate()["hit_rate"]
 
     @property
     def refits_completed(self) -> int:
         """Refits published across all shards."""
-        return int(self._summed("refits_completed")["refits_completed"])
+        return int(self.aggregate()["refits_completed"])
 
     @property
     def observations(self) -> int:
         """Observations absorbed by trainers across all shards."""
-        return int(self._summed("observations")["observations"])
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Fleet-wide latency percentile over the merged recent windows."""
-        if not (0.0 <= percentile <= 100.0):
-            raise ServingError("percentile must be in [0, 100]")
-        latencies: list[float] = []
-        for worker in self._workers().values():
-            latencies.extend(worker.stats.latency_values())
-        if not latencies:
-            return 0.0
-        return float(np.percentile(np.array(latencies), percentile))
+        return int(self.aggregate()["observations"])
 
     @property
     def p50_latency_seconds(self) -> float:
         """Fleet-wide median request latency."""
-        return self.latency_percentile(50.0)
+        return self.aggregate()["p50_latency_seconds"]
 
     @property
     def p99_latency_seconds(self) -> float:
         """Fleet-wide tail request latency."""
-        return self.latency_percentile(99.0)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _workers(self):
-        return self._cluster._workers_snapshot()
-
-    def _views(self) -> list[dict[str, Any]]:
-        return [worker.stats_view() for worker in self._workers().values()]
+        return self.aggregate()["p99_latency_seconds"]
 
     def __repr__(self) -> str:
-        totals = self._summed("predicates_served", "refits_completed")
+        totals = self.aggregate()
         return (
-            f"ClusterStats(shards={len(self._workers())}, "
+            f"ClusterStats(shards={int(totals['shard_count'])}, "
             f"served={int(totals['predicates_served'])}, "
-            f"hit_rate={self.hit_rate:.2f}, "
+            f"hit_rate={totals['hit_rate']:.2f}, "
             f"refits={int(totals['refits_completed'])})"
         )

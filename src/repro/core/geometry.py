@@ -236,10 +236,6 @@ class Hyperrectangle:
         """Return all per-dimension intervals."""
         return [self.interval(i) for i in range(self.dimension)]
 
-    def is_degenerate(self) -> bool:
-        """True if the box has zero volume (some side has zero width)."""
-        return bool((self.widths == 0).any())
-
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------

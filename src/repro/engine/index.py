@@ -69,10 +69,6 @@ class SortedIndex:
             return np.empty(0, dtype=int)
         return self._row_ids[left:right].copy()
 
-    def equality_lookup(self, value: float) -> np.ndarray:
-        """Row ids whose indexed value equals ``value``."""
-        return self.range_lookup(value, value)
-
     def count_in_range(self, low: float | None, high: float | None) -> int:
         """Number of entries with value in ``[low, high]`` (no row fetch)."""
         if self.entry_count == 0:

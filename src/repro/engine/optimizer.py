@@ -94,11 +94,6 @@ class PlanChoice:
     estimated_cost: float
     alternative_cost: float
 
-    @property
-    def used_index(self) -> bool:
-        """True if the optimizer chose the index path."""
-        return self.access_path == "index_scan"
-
 
 class AccessPathOptimizer:
     """Chooses between a sequential scan and an index scan."""

@@ -16,7 +16,7 @@ real-valued hyperrectangles:
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,12 +108,6 @@ class Column:
             raise SchemaError(
                 f"value {value!r} is not numeric for column {self.name!r}"
             ) from error
-
-    def encode_array(self, values: Iterable[object]) -> np.ndarray:
-        """Encode a column of raw values to a float vector."""
-        if self.column_type is ColumnType.CATEGORICAL:
-            return np.array([self.encode_value(value) for value in values])
-        return np.asarray(list(values), dtype=float)
 
 
 class Schema:

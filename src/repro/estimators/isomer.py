@@ -53,7 +53,6 @@ class Isomer(BucketBatchEstimation, QueryDrivenEstimator):
         self._scaling_iterations = scaling_iterations
         self._scaling_tolerance = scaling_tolerance
         self._observed_count = 0
-        self._last_iterations = 0
 
     # ------------------------------------------------------------------
     # SelectivityEstimator interface
@@ -67,11 +66,6 @@ class Isomer(BucketBatchEstimation, QueryDrivenEstimator):
     def bucket_count(self) -> int:
         """Number of histogram buckets."""
         return len(self._buckets)
-
-    @property
-    def last_iterations(self) -> int:
-        """Iterative-scaling sweeps used by the most recent refit."""
-        return self._last_iterations
 
     def estimate(self, predicate: PredicateLike) -> float:
         region = self._region(predicate)
@@ -131,7 +125,6 @@ class Isomer(BucketBatchEstimation, QueryDrivenEstimator):
             tolerance=self._scaling_tolerance,
         )
         self._buckets.set_frequencies(result.frequencies)
-        self._last_iterations = result.iterations
 
     def __repr__(self) -> str:
         return (

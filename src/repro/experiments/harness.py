@@ -15,8 +15,6 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import QuickSelConfig
 from repro.core.geometry import Hyperrectangle
 from repro.core.predicate import Predicate
@@ -168,10 +166,3 @@ def sweep_query_driven(
                 )
             )
     return records
-
-
-def feedback_from_predicates(
-    predicates: Sequence[Predicate], data: np.ndarray
-) -> list[Feedback]:
-    """Label a predicate list with exact selectivities over ``data``."""
-    return [(predicate, predicate.selectivity(data)) for predicate in predicates]

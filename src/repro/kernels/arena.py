@@ -53,14 +53,6 @@ class KernelArena:
             self._buffers[key] = buffer
         return buffer[:size].reshape(shape)
 
-    def request_zeroed(
-        self, name: str, shape: tuple[int, ...], dtype: object = np.float64
-    ) -> np.ndarray:
-        """Like :meth:`request` but the view arrives zero-filled."""
-        view = self.request(name, shape, dtype)
-        view[...] = 0
-        return view
-
     def nbytes(self) -> int:
         """Total bytes currently held across all buffers."""
         return sum(buffer.nbytes for buffer in self._buffers.values())

@@ -38,6 +38,7 @@ from repro.exceptions import (
 from repro.serving.registry import ModelKey, normalize_key
 from repro.serving.snapshot import ModelSnapshot
 from repro.net.protocol import (
+    IDEMPOTENT_READS,
     Request,
     Response,
     decode_snapshot,
@@ -48,22 +49,6 @@ from repro.net.protocol import (
 )
 
 __all__ = ["RemoteSelectivityService", "connect"]
-
-#: Methods safe to replay after a connection failure (reads only).
-_IDEMPOTENT_READS = frozenset(
-    {
-        "estimate",
-        "estimate_batch",
-        "estimate_batch_mixed",
-        "snapshot_for",
-        "feedback_count",
-        "model_keys",
-        "fleet_stats",
-        "stats",
-        "worker_names",
-        "ping",
-    }
-)
 
 #: Sentinel distinguishing "use the default timeout" from "no timeout".
 _DEFAULT_TIMEOUT = object()
@@ -155,7 +140,7 @@ class RemoteSelectivityService:
         wire_timeout = (
             self._timeout if timeout is _DEFAULT_TIMEOUT else timeout
         )
-        retries = self._max_retries if method in _IDEMPOTENT_READS else 0
+        retries = self._max_retries if method in IDEMPOTENT_READS else 0
         last_error: Exception | None = None
         for attempt in range(retries + 1):
             try:

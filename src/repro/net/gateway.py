@@ -1,13 +1,14 @@
 """The async serving gateway: one front door over N worker processes.
 
 :class:`SelectivityGateway` is the asyncio core.  It keeps one pipelined
-connection per worker (:class:`_WorkerLink`), routes model keys over the
-fleet with the same BLAKE2b :class:`~repro.cluster.router.ShardRouter`
-the in-process cluster uses, fans :meth:`estimate_batch_mixed` out
-across worker connections with input-order reassembly, and migrates keys
-across the process boundary on membership changes via the worker-side
-``migrate_out`` / ``migrate_in`` pair, which moves the key's
-:class:`~repro.cluster.shard.KeyState` (the cluster's exact-snapshot
+connection per worker (:class:`_WorkerLink`) and takes the in-process
+cluster's fleet decisions with the same code (the BLAKE2b
+:class:`~repro.cluster.router.ShardRouter`, ``group_by_key``, the drain
+budget and the stats fold).  :meth:`estimate_batch_mixed` sends one
+concurrent ``estimate_batch`` RPC per key, reassembled in input order;
+a membership change moves each key's
+:class:`~repro.cluster.shard.KeyState` through the worker-side
+``migrate_out`` / ``migrate_in`` pair (the cluster's exact-snapshot
 hand-off, split at the wire).
 
 Robustness model:
@@ -71,12 +72,13 @@ from repro.exceptions import (
     ServingError,
     WorkerUnavailableError,
 )
-from repro.serving.registry import ModelKey, normalize_key
+from repro.serving.registry import ModelKey, group_by_key, normalize_key
 from repro.serving.snapshot import ModelSnapshot
-from repro.cluster.router import ShardRouter
+from repro.cluster.router import ShardRouter, drain_budget
 from repro.cluster.stats import merge_worker_stats
 from repro.net.breaker import CircuitBreaker, full_jitter
 from repro.net.protocol import (
+    IDEMPOTENT_READS,
     Request,
     Response,
     decode_snapshot,
@@ -88,24 +90,6 @@ from repro.net.protocol import (
 from repro.net.stats import GatewayStats
 
 __all__ = ["SelectivityGateway", "GatewayServer"]
-
-#: Wire methods safe to retry after a connection failure: they either
-#: mutate nothing or are served from an immutable snapshot, so replaying
-#: one cannot double-apply anything.
-IDEMPOTENT_READS = frozenset(
-    {
-        "estimate",
-        "estimate_batch",
-        "snapshot_for",
-        "feedback_count",
-        "model_keys",
-        "has_challenger",
-        "challenger_snapshot_for",
-        "stats",
-        "ping",
-        "identify",
-    }
-)
 
 
 class _WorkerLink:
@@ -676,42 +660,26 @@ class SelectivityGateway:
     async def estimate_batch_mixed(
         self, pairs: Sequence[tuple[str | ModelKey, object]]
     ) -> np.ndarray:
-        """Mixed-key burst: split by worker, fan out, reassemble in order."""
+        """Mixed-key burst: one concurrent :meth:`estimate_batch` per key,
+        reassembled in input order.
+
+        Each key keeps its own re-route retry and degraded fallback, so
+        an unreachable owner degrades only its keys' slices.
+        """
         pairs = list(pairs)
         results = np.empty(len(pairs))
-        if not pairs:
+        groups = group_by_key(pairs)
+        if not groups:
             return results
-        groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
-        for index, (table, predicate) in enumerate(pairs):
-            key = normalize_key(table, ())
-            indices, predicates = groups.setdefault(key, ([], []))
-            indices.append(index)
-            predicates.append(predicate)
-        self._stats.record_fanout(
-            len({self._router.route(key) for key in groups})
-        )
-
-        async def run_group(
-            key: ModelKey, indices: list[int], predicates: list[object]
-        ) -> None:
-            try:
-                values = await self._call_routed(
-                    key,
-                    "estimate_batch",
-                    {"table": key, "predicates": predicates},
-                )
-            except (WorkerUnavailableError, NetError) as error:
-                # Degrade only this key's slice; the rest of the burst
-                # keeps its live answers.
-                values = self._degraded_answer(key, predicates, error)
-            results[indices] = values
-
-        await asyncio.gather(
+        self._stats.record_fanout(len(self._router.split(groups)))
+        answers = await asyncio.gather(
             *(
-                run_group(key, indices, predicates)
-                for key, (indices, predicates) in groups.items()
+                self.estimate_batch(key, predicates)
+                for key, (_, predicates) in groups.items()
             )
         )
+        for (indices, _), values in zip(groups.values(), answers):
+            results[indices] = values
         return results
 
     # ------------------------------------------------------------------
@@ -917,18 +885,10 @@ class SelectivityGateway:
         remaining workers need — and reported in one ServingError at
         the end.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        names = self._router.shards
         unreachable: list[str] = []
-        for position, name in enumerate(names):
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServingError(
-                        f"drain budget of {timeout}s exhausted with "
-                        f"{len(names) - position} worker(s) undrained"
-                    )
+        for name, remaining in drain_budget(
+            self._router.shards, timeout, "worker"
+        ):
             breaker = self._breakers.get(name)
             if breaker is not None and not breaker.allow():
                 unreachable.append(name)
@@ -979,17 +939,8 @@ class SelectivityGateway:
                     placements[key] = owner
             self._links[name] = link
             self._router.add(name)
-            moved = sorted(
-                (key, owner)
-                for key, owner in placements.items()
-                if self._router.route(key) != owner
-            )
-            for key, owner in moved:
-                await self._migrate(
-                    key,
-                    self._links[owner],
-                    self._links[self._router.route(key)],
-                )
+            for key, old, new in self._router.moves(placements):
+                await self._migrate(key, self._links[old], self._links[new])
             return name
 
     async def remove_worker(self, name: str, shutdown: bool = False) -> int:
@@ -1005,11 +956,11 @@ class SelectivityGateway:
                 raise ClusterError("cannot remove the last worker")
             link = self._links[name]
             self._router.remove(name)
-            keys = sorted(await self._call_link(link, "model_keys"))
-            for key in keys:
-                await self._migrate(
-                    key, link, self._links[self._router.route(key)]
-                )
+            moved = self._router.moves(
+                dict.fromkeys(await self._call_link(link, "model_keys"), name)
+            )
+            for key, _, new in moved:
+                await self._migrate(key, link, self._links[new])
             if shutdown:
                 await link.call("drain", {"timeout": None}, timeout=None)
                 await link.call("shutdown", timeout=None)
@@ -1017,7 +968,7 @@ class SelectivityGateway:
             del self._links[name]
             self._breakers.pop(name, None)
             self._stats.forget_worker(name)
-            return len(keys)
+            return len(moved)
 
     async def _migrate(
         self, key: ModelKey, source: _WorkerLink, dest: _WorkerLink
@@ -1035,11 +986,13 @@ class SelectivityGateway:
     async def fleet_stats(self) -> dict[str, Any]:
         """One ClusterStats-shaped view over the whole fleet.
 
-        ``aggregate`` / ``per_shard`` / ``backend_errors`` mirror
-        :meth:`repro.cluster.stats.ClusterStats.snapshot`; ``gateway``
-        adds this gateway's own counters and latency windows.  A worker
-        that cannot be reached is skipped (its name is listed under
-        ``unreachable``) rather than failing the whole scrape.
+        ``aggregate`` / ``per_shard`` / ``backend_errors`` come from the
+        same fold :meth:`repro.cluster.stats.ClusterStats.snapshot` runs
+        (:func:`~repro.cluster.stats.merge_worker_stats`), so a worker's
+        ``per_shard`` entry has a shard's schema; ``gateway`` adds this
+        gateway's own counters and latency windows.  A worker that cannot
+        be reached is skipped (its name is listed under ``unreachable``)
+        rather than failing the whole scrape.
         """
         names = self._router.shards
         views = await asyncio.gather(
@@ -1057,9 +1010,6 @@ class SelectivityGateway:
             else:
                 per_worker[name] = view
         merged = merge_worker_stats(per_worker)
-        merged["per_shard"] = {
-            name: dict(view["counters"]) for name, view in per_worker.items()
-        }
         merged["gateway"] = self._stats.snapshot()
         merged["unreachable"] = tuple(unreachable)
         merged["breakers"] = {

@@ -65,6 +65,7 @@ from repro.exceptions import NetError, RemoteError
 from repro.serving.snapshot import ModelSnapshot
 
 __all__ = [
+    "IDEMPOTENT_READS",
     "MAX_FRAME_BYTES",
     "Request",
     "Response",
@@ -90,6 +91,27 @@ _LENGTH = struct.Struct("!I")
 #: snapshot (frozen models track model size, not feedback history) but
 #: small enough that a garbage length prefix fails fast.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: Methods safe to replay after a connection failure, on any hop (client
+#: to gateway or worker, gateway to worker): each one only reads — state
+#: or an immutable snapshot — so a replay cannot apply anything twice.
+IDEMPOTENT_READS = frozenset(
+    {
+        "estimate",
+        "estimate_batch",
+        "estimate_batch_mixed",
+        "snapshot_for",
+        "feedback_count",
+        "model_keys",
+        "has_challenger",
+        "challenger_snapshot_for",
+        "fleet_stats",
+        "stats",
+        "worker_names",
+        "ping",
+        "identify",
+    }
+)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ invalidates its challenger-scoped cache entries itself.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.geometry import Hyperrectangle
@@ -35,7 +35,13 @@ from repro.estimators.backend import ServableModel
 from repro.exceptions import ServingError
 from repro.serving.snapshot import ModelSnapshot
 
-__all__ = ["ModelKey", "EstimatorRegistry", "SnapshotCell", "normalize_key"]
+__all__ = [
+    "ModelKey",
+    "EstimatorRegistry",
+    "SnapshotCell",
+    "group_by_key",
+    "normalize_key",
+]
 
 PublishListener = Callable[["ModelKey", ModelSnapshot], None]
 
@@ -92,6 +98,25 @@ def normalize_key(
             raise ServingError("pass columns via the ModelKey, not both")
         return table
     return ModelKey(table=table, columns=tuple(columns))
+
+
+def group_by_key(
+    pairs: Iterable[tuple["str | ModelKey", object]],
+) -> dict[ModelKey, tuple[list[int], list[object]]]:
+    """Group a mixed-key burst by key, keeping each pair's input position.
+
+    Returns ``{key: (indices, predicates)}`` in first-seen key order.
+    Every ``estimate_batch_mixed`` (one service, shard threads, worker
+    processes) evaluates each group as one single-key batch and writes
+    it back with ``results[indices] = values``, so results come out in
+    input order.
+    """
+    groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
+    for index, (table, predicate) in enumerate(pairs):
+        indices, predicates = groups.setdefault(normalize_key(table), ([], []))
+        indices.append(index)
+        predicates.append(predicate)
+    return groups
 
 
 class EstimatorRegistry:
@@ -287,11 +312,6 @@ class EstimatorRegistry:
         """True if ``key`` currently carries a challenger chain."""
         with self._lock:
             return key in self._challengers
-
-    def challenger_keys(self) -> Sequence[ModelKey]:
-        """All keys with a registered challenger."""
-        with self._lock:
-            return tuple(self._challengers)
 
     def current_challenger(self, key: ModelKey) -> ModelSnapshot:
         """The challenger snapshot for ``key`` (raises if none registered)."""

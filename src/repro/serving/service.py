@@ -65,6 +65,7 @@ from repro.serving.registry import (
     EstimatorRegistry,
     ModelKey,
     SnapshotCell,
+    group_by_key,
     normalize_key,
 )
 from repro.serving.scheduler import RefitScheduler
@@ -649,11 +650,6 @@ class SelectivityService:
         with self._lock:
             return self._key(table, columns) in self._challengers
 
-    def challenger_keys(self) -> Sequence[ModelKey]:
-        """All keys currently shadowing a challenger."""
-        with self._lock:
-            return tuple(self._challengers)
-
     def challenger_snapshot_for(
         self, table: str | ModelKey, columns: Sequence[str] = ()
     ) -> ModelSnapshot:
@@ -880,20 +876,14 @@ class SelectivityService:
     ) -> np.ndarray:
         """Estimate a burst spanning several model keys, in input order.
 
-        The burst is grouped by key and each group goes through
-        :meth:`estimate_batch` (one snapshot resolve + one vectorised miss
-        pass per key); results land back in the positions their pairs
-        came in.  The sharded cluster exposes the same method with the
-        groups fanned out across shards.
+        The burst is grouped by key (:func:`group_by_key`) and each group
+        goes through :meth:`estimate_batch` (one snapshot resolve + one
+        vectorised miss pass per key); results land back in the positions
+        their pairs came in.  The sharded cluster and the gateway group
+        the same way and fan the groups out across shards or workers.
         """
         results = np.empty(len(pairs))
-        groups: dict[ModelKey, tuple[list[int], list[PredicateLike]]] = {}
-        for index, (table, predicate) in enumerate(pairs):
-            key = self._key(table, ())
-            indices, predicates = groups.setdefault(key, ([], []))
-            indices.append(index)
-            predicates.append(predicate)
-        for key, (indices, predicates) in groups.items():
+        for key, (indices, predicates) in group_by_key(pairs).items():
             results[indices] = self.estimate_batch(key, predicates)
         return results
 

@@ -638,7 +638,6 @@ class TestClusterBackends:
     def _cluster(self, **kwargs):
         kwargs.setdefault("num_shards", 3)
         kwargs.setdefault("scheduler_mode", "inline")
-        kwargs.setdefault("fanout_threads", False)
         kwargs.setdefault("policy", RefitPolicy(min_new_observations=16))
         return ShardedSelectivityService(**kwargs)
 

@@ -36,6 +36,7 @@ from repro.cluster import (
     ObservationBuffer,
     ShardedSelectivityService,
     ShardRouter,
+    ShardWorker,
 )
 from repro.core.config import QuickSelConfig
 from repro.core.predicate import box_predicate
@@ -52,6 +53,7 @@ from repro.engine import (
 )
 from repro.engine.optimizer import plan_many_tables
 from repro.exceptions import ClusterError, ServingError
+from repro.net import GatewayServer, WorkerServer, connect
 from repro.serving import (
     ModelKey,
     RefitPolicy,
@@ -126,6 +128,11 @@ class TestShardRouter:
                 assert after == "s3"
                 moved += 1
         assert moved > 0  # the new shard takes over some arcs
+        assert router.moves(before) == [
+            (key, before[key], router.route(key))
+            for key in sorted(keys)
+            if router.route(key) != before[key]
+        ]
 
     def test_removing_a_shard_only_remaps_its_own_keys(self):
         router = ShardRouter(["s0", "s1", "s2", "s3"])
@@ -137,6 +144,11 @@ class TestShardRouter:
                 assert router.route(key) == before[key]
             else:
                 assert router.route(key) != "s3"
+        assert router.moves(before) == [
+            (key, "s3", router.route(key))
+            for key in sorted(keys)
+            if before[key] == "s3"
+        ]
 
     def test_distribution_is_not_degenerate(self):
         router = ShardRouter([f"s{index}" for index in range(4)], replicas=64)
@@ -340,26 +352,42 @@ class TestShardedServingParity:
         finally:
             cluster.close()
 
-    def test_sequential_fanout_matches_threaded(self, cluster_world, make_cluster, register_tables):
-        dataset, base, probes, _ = cluster_world
-        threaded = make_cluster(4)
-        sequential = make_cluster(4, fanout_threads=False)
-        register_tables(threaded, base, TABLES)
-        register_tables(sequential, base, TABLES)
+    def test_moved_key_is_rerouted_once(
+        self, cluster_world, make_cluster, register_tables, monkeypatch
+    ):
+        """A shard refusing a key once, as if the key had just moved
+        away, costs one re-route, never a wrong or missing answer."""
+        _, base, probes, _ = cluster_world
+        plain = SelectivityService(scheduler=RefitScheduler("inline"))
+        register_tables(plain, base, TABLES)
+        cluster = make_cluster(4)
+        register_tables(cluster, base, TABLES)
+        moved = cluster.key_for(TABLES[0])
+        worker = cluster.shard(cluster.shard_for(moved))
+        refused: list[str] = []
+        for name in ("estimate_batch", "estimate"):
+            def refuse_once(key, *args, _name=name, _call=getattr(worker, name)):
+                if key == moved and _name not in refused:
+                    refused.append(_name)
+                    raise ServingError(f"{key} just moved")
+                return _call(key, *args)
+
+            monkeypatch.setattr(worker, name, refuse_once)
         try:
             pairs = [
                 (TABLES[index % len(TABLES)], predicate)
                 for index, predicate in enumerate(probes)
             ]
-            np.testing.assert_allclose(
-                threaded.estimate_batch_mixed(pairs),
-                sequential.estimate_batch_mixed(pairs),
-                rtol=0,
-                atol=0,
+            expected = plain.estimate_batch_mixed(pairs)
+            mixed = cluster.estimate_batch_mixed(pairs)
+            np.testing.assert_allclose(mixed, expected, rtol=0, atol=1e-12)
+            scalar = np.array(
+                [cluster.estimate(table, predicate) for table, predicate in pairs]
             )
+            np.testing.assert_allclose(scalar, expected, rtol=0, atol=1e-12)
+            assert refused == ["estimate_batch", "estimate"]
         finally:
-            threaded.close()
-            sequential.close()
+            plain.close()
 
     def test_empty_mixed_batch(self, cluster_world, make_cluster):
         _, base, _, _ = cluster_world
@@ -764,6 +792,49 @@ class TestClusterStats:
         finally:
             cluster.close()
 
+    def test_snapshot_folds_one_read_of_every_shard(
+        self, cluster_world, make_cluster, register_tables, monkeypatch
+    ):
+        """Traffic landing between two shard reads cannot make the
+        aggregate and the per-shard breakdown of one snapshot disagree."""
+        _, base, probes, _ = cluster_world
+        cluster = make_cluster(2)
+        register_tables(cluster, base, TABLES)
+        stats_view = ShardWorker.stats_view
+
+        def view_then_serve(worker):
+            view = stats_view(worker)
+            cluster.estimate_batch(TABLES[0], probes[:1])
+            return view
+
+        monkeypatch.setattr(ShardWorker, "stats_view", view_then_serve)
+        snapshot = cluster.stats.snapshot()
+        assert snapshot["aggregate"]["predicates_served"] == sum(
+            view["predicates_served"] for view in snapshot["per_shard"].values()
+        )
+
+    def test_cluster_and_gateway_share_one_per_shard_schema(
+        self, make_cluster
+    ):
+        cluster = make_cluster(2)
+        worker = WorkerServer(shard_id="w0")
+        worker.start()
+        server = GatewayServer({"w0": ("127.0.0.1", worker.port)})
+        server.start()
+        client = connect(*server.address)
+        try:
+            remote = client.fleet_stats()
+            local = cluster.stats.snapshot()
+        finally:
+            client.close()
+            server.close()
+            worker.close()
+        assert set(remote["per_shard"]) == {"w0"}
+        schema = set(remote["per_shard"]["w0"])
+        assert schema == set(remote["aggregate"]) == set(local["aggregate"])
+        for entry in local["per_shard"].values():
+            assert set(entry) == schema
+
 
 # ----------------------------------------------------------------------
 # Engine wiring (feedback loop + multi-table planning)
@@ -902,7 +973,7 @@ class TestDrainBudget:
 
     def _cluster_with_recording_drains(self, monkeypatch, sleep_seconds):
         cluster = ShardedSelectivityService(
-            num_shards=3, scheduler_mode="inline", fanout_threads=False
+            num_shards=3, scheduler_mode="inline"
         )
         received: list[float | None] = []
         for shard_id in cluster.shard_ids:

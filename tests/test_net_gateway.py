@@ -277,6 +277,41 @@ class TestGatewayServing:
         finally:
             reference.close()
 
+    def test_misrouted_key_is_rerouted_once(self, fleet, workload, monkeypatch):
+        """A key the ring sends to the wrong worker on its first lookup,
+        as if it had just moved, costs one re-route: live answers, not
+        degraded ones."""
+        _, _, probes, trainers = workload
+        _, server, client = fleet
+        gateway = server.gateway
+        for table, trainer in trainers.items():
+            client.register_model(table, copy.deepcopy(trainer))
+        moved = client.key_for("orders")
+        owner = gateway.router.route(moved)
+        wrong = next(name for name in gateway.router.shards if name != owner)
+        link_for = gateway._link_for
+        misrouted: list[str] = []
+
+        def first_lookup_wrong(key):
+            if key == moved and not misrouted:
+                misrouted.append(wrong)
+                return gateway._links[wrong]
+            return link_for(key)
+
+        monkeypatch.setattr(gateway, "_link_for", first_lookup_wrong)
+        reference = _reference(trainers, workload)
+        try:
+            pairs = [
+                (table, probe) for probe in probes for table in trainers
+            ]
+            remote = client.estimate_batch_mixed(pairs)
+            local = reference.estimate_batch_mixed(pairs)
+            assert np.max(np.abs(remote - local)) <= PARITY
+            assert misrouted == [wrong]
+            assert client.fleet_stats()["gateway"]["degraded_estimates"] == 0
+        finally:
+            reference.close()
+
     def test_keys_actually_spread_across_workers(self, fleet, workload):
         _, _, _, trainers = workload
         workers, server, client = fleet
