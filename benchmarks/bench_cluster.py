@@ -163,7 +163,7 @@ def run_throughput_benchmark(
                 "cold_qps": len(pairs) / cold_seconds,
                 "steady_seconds": steady_seconds,
                 "steady_qps": len(pairs) / steady_seconds,
-                "hit_rate": cluster.stats.hit_rate,
+                "hit_rate": cluster.fleet_stats()["aggregate"]["hit_rate"],
                 "max_error": max_error,
                 "max_keys_on_one_shard": max(keys_per_shard.values()),
             }

@@ -21,8 +21,8 @@ to a fleet of independent shards behind the same API:
   order), and supports elastic ``add_shard`` / ``remove_shard``;
 * :mod:`repro.cluster.stats` — ``merge_worker_stats``, the one fold of
   per-shard stats views into the fleet aggregate and per-shard entries
-  (summed counters, true hit rate, merged latency percentiles), and
-  :class:`ClusterStats`, this cluster's view over that fold.
+  (summed counters, true hit rate, merged latency percentiles), which
+  this cluster's and the gateway's ``fleet_stats()`` both return.
 
 Because :class:`ShardedSelectivityService` satisfies the
 :class:`~repro.serving.adapter.SelectivityServing` protocol, everything
@@ -36,7 +36,6 @@ from repro.cluster.buffer import BufferedObservation, ObservationBuffer
 from repro.cluster.router import ShardRouter
 from repro.cluster.service import ShardedSelectivityService
 from repro.cluster.shard import ShardWorker
-from repro.cluster.stats import ClusterStats
 
 __all__ = [
     "ShardRouter",
@@ -44,5 +43,4 @@ __all__ = [
     "ObservationBuffer",
     "ShardWorker",
     "ShardedSelectivityService",
-    "ClusterStats",
 ]

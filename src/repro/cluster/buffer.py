@@ -34,6 +34,7 @@ from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 from repro.exceptions import ClusterError
+from repro.serving.stats import Counters
 
 __all__ = ["BufferedObservation", "ObservationBuffer"]
 
@@ -54,23 +55,27 @@ class BufferedObservation:
     served_estimate: float
 
 
-class ObservationBuffer:
-    """Per-key FIFO queues of feedback with order-preserving replay."""
+class ObservationBuffer(Counters):
+    """Per-key FIFO queues of feedback with order-preserving replay.
+
+    Counters: ``appended`` (observations ever enqueued), ``applied``
+    (replayed into a trainer), ``requeued`` (put back because the
+    trainer lock was busy), ``dropped`` (lost to the capacity bound) and
+    ``discarded`` (removed unapplied by :meth:`discard`).  Each moves
+    in the same lock hold as the queues it counts.
+    """
+
+    COUNTERS = ("appended", "applied", "requeued", "dropped", "discarded")
 
     def __init__(self, capacity: int | None = None) -> None:
         """``capacity`` bounds each key's queue; the oldest entry is
         dropped (and counted) on overflow.  None means unbounded."""
         if capacity is not None and capacity < 1:
             raise ClusterError("buffer capacity must be at least 1")
+        super().__init__()
         self._capacity = capacity
-        self._lock = threading.Lock()
         self._queues: dict[Hashable, deque[BufferedObservation]] = {}
         self._flush_locks: dict[Hashable, threading.Lock] = {}
-        self._appended = 0
-        self._applied = 0
-        self._requeued = 0
-        self._dropped = 0
-        self._discarded = 0
 
     # ------------------------------------------------------------------
     # Write side (never blocks on training)
@@ -80,10 +85,10 @@ class ObservationBuffer:
         with self._lock:
             queue = self._queues.setdefault(key, deque())
             queue.append(observation)
-            self._appended += 1
+            self.appended += 1
             if self._capacity is not None and len(queue) > self._capacity:
                 queue.popleft()
-                self._dropped += 1
+                self.dropped += 1
 
     # ------------------------------------------------------------------
     # Replay side
@@ -126,7 +131,7 @@ class ObservationBuffer:
                 raise
             if applied:
                 with self._lock:
-                    self._applied += len(items)
+                    self.applied += len(items)
                     queue = self._queues.get(key)
                     if queue is not None and not queue:
                         # Keep the queue map bounded under key churn; the
@@ -154,13 +159,13 @@ class ObservationBuffer:
             self._flush_locks.pop(key, None)
             queue = self._queues.pop(key, None)
             items = list(queue) if queue else []
-            self._discarded += len(items)
+            self.discarded += len(items)
             return items
 
     def _requeue(self, key: Hashable, items: list[BufferedObservation]) -> None:
         with self._lock:
             self._queues.setdefault(key, deque()).extendleft(reversed(items))
-            self._requeued += len(items)
+            self.requeued += len(items)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,48 +186,14 @@ class ObservationBuffer:
         with self._lock:
             return sum(len(queue) for queue in self._queues.values())
 
-    @property
-    def appended(self) -> int:
-        """Observations ever enqueued."""
-        with self._lock:
-            return self._appended
-
-    @property
-    def applied(self) -> int:
-        """Observations replayed into a trainer."""
-        with self._lock:
-            return self._applied
-
-    @property
-    def requeued(self) -> int:
-        """Observations put back because the trainer lock was busy."""
-        with self._lock:
-            return self._requeued
-
-    @property
-    def dropped(self) -> int:
-        """Observations discarded to the capacity bound."""
-        with self._lock:
-            return self._dropped
-
-    @property
-    def discarded(self) -> int:
-        """Observations removed unapplied via :meth:`discard` (migration
-        sweeps forward them to the new shard; orphan cleanup drops them)."""
-        with self._lock:
-            return self._discarded
-
     def counters(self) -> dict[str, int]:
         """All counters plus the current backlog, as one consistent view."""
         with self._lock:
-            return {
-                "appended": self._appended,
-                "applied": self._applied,
-                "requeued": self._requeued,
-                "dropped": self._dropped,
-                "discarded": self._discarded,
-                "pending": sum(len(queue) for queue in self._queues.values()),
-            }
+            counters = self._counters_locked()
+            counters["pending"] = sum(
+                len(queue) for queue in self._queues.values()
+            )
+            return counters
 
     def __repr__(self) -> str:
         counters = self.counters()

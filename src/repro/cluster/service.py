@@ -26,10 +26,10 @@ each by drain → buffered-feedback flush → trainer hand-off →
 re-registration on the destination, so a resize never loses feedback
 and never serves from a half-moved model.
 
-Observability: :attr:`stats` is a
-:class:`~repro.cluster.stats.ClusterStats`, a view over the one fleet
-fold (:func:`~repro.cluster.stats.merge_worker_stats`) that the gateway's
-``fleet_stats()`` runs over its workers too.
+Observability: :meth:`fleet_stats` returns the one fleet fold
+(:func:`~repro.cluster.stats.merge_worker_stats`) over one read of every
+shard, the same dict the gateway's ``fleet_stats()`` returns for its
+workers.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.serving.registry import ModelKey, group_by_key, normalize_key
 from repro.serving.snapshot import ModelSnapshot
 from repro.cluster.router import ShardRouter, drain_budget
 from repro.cluster.shard import ShardWorker
-from repro.cluster.stats import ClusterStats
+from repro.cluster.stats import merge_worker_stats
 
 __all__ = ["ShardedSelectivityService"]
 
@@ -97,7 +97,6 @@ class ShardedSelectivityService:
         self._pool = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="repro-cluster"
         )
-        self._stats = ClusterStats(self)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -120,10 +119,22 @@ class ShardedSelectivityService:
         """The hash ring (mutate only through add_shard/remove_shard)."""
         return self._router
 
-    @property
-    def stats(self) -> ClusterStats:
-        """Fleet-wide aggregated metrics."""
-        return self._stats
+    def fleet_stats(self) -> dict[str, object]:
+        """Fleet metrics from one ``stats_view()`` read of every shard.
+
+        ``aggregate`` sums the shards' counters with the true hit rate
+        and merged latency percentiles, ``per_shard`` is the same fold
+        per shard, and ``backend_errors`` is the fleet-wide
+        ``{model key: {backend: mean |error|}}`` A/B view.
+        """
+        with self._lock:
+            workers = dict(self._workers)
+        return merge_worker_stats(
+            {
+                shard_id: worker.stats_view()
+                for shard_id, worker in workers.items()
+            }
+        )
 
     def shard(self, shard_id: str) -> ShardWorker:
         """One shard's worker (tests, metrics, debugging)."""
@@ -541,10 +552,6 @@ class ShardedSelectivityService:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ClusterError("cluster has been closed")
-
-    def _workers_snapshot(self) -> dict[str, ShardWorker]:
-        with self._lock:
-            return dict(self._workers)
 
     def __repr__(self) -> str:
         with self._lock:

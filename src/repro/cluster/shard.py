@@ -164,17 +164,19 @@ class ShardWorker:
 
         The input of the fleet fold
         (:func:`~repro.cluster.stats.merge_worker_stats`), in process and
-        over the wire.  Read through :attr:`stats`, so buffered read
-        accounting is flushed first.
+        over the wire.  The counters, latencies and error windows come
+        from one :meth:`~repro.serving.stats.ServingStats.view`, read
+        through :attr:`stats` so buffered read accounting is flushed
+        first.
         """
-        stats = self.stats
+        view = self.stats.view()
         return {
             "shard_id": self._shard_id,
-            "counters": stats.counters(),
-            "latencies": stats.latency_values(),
+            "counters": view["counters"],
+            "latencies": view["latencies"],
             "buffer": self._buffer.counters(),
             "refits_coalesced": self._scheduler.coalesced,
-            "backend_error_windows": stats.backend_error_windows(),
+            "backend_error_windows": view["backend_error_windows"],
             "model_keys": len(self.model_keys()),
         }
 

@@ -9,13 +9,13 @@ would weight an idle shard like a hot one); latency percentiles are
 computed over the *merged* per-shard latency reservoirs (percentiles do
 not average).  The same fold over each single view gives the per-shard
 entries, so operators can spot a hot or unbalanced shard at a glance in
-one schema.  :class:`ClusterStats` presents a
-:class:`~repro.cluster.service.ShardedSelectivityService` through that
-fold; the gateway's ``fleet_stats()`` runs it over its workers' views.
+one schema.  Both fleets' ``fleet_stats()`` return this fold: the
+in-process :class:`~repro.cluster.service.ShardedSelectivityService`
+over its shards, the gateway over its workers' views.
 
 Counters cover the *live* fleet: like any per-node metrics system, a
 shard retired by ``remove_shard`` takes its history with it (its keys'
-feedback is migrated, its counters are not).  Scrape :meth:`snapshot`
+feedback is migrated, its counters are not).  Scrape ``fleet_stats()``
 periodically if cumulative history across resizes matters.
 """
 
@@ -24,15 +24,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
-import numpy as np
+from repro.cluster.buffer import ObservationBuffer
+from repro.serving.stats import ServingStats, mean_errors, p50_p99
 
-from repro.serving.stats import ServingStats
+__all__ = ["merge_worker_stats"]
 
-__all__ = ["ClusterStats", "merge_worker_stats"]
-
-_BUFFER_COUNTERS = (
-    "appended", "applied", "requeued", "dropped", "discarded", "pending",
-)
+_BUFFER_COUNTERS = (*ObservationBuffer.COUNTERS, "pending")
 
 
 def _aggregate(views: Sequence[Mapping[str, Any]]) -> dict[str, float]:
@@ -54,12 +51,8 @@ def _aggregate(views: Sequence[Mapping[str, Any]]) -> dict[str, float]:
         coalesced += int(view.get("refits_coalesced", 0))
     lookups = totals["cache_hits"] + totals["cache_misses"]
     totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
-    merged = np.array(latencies) if latencies else None
-    totals["p50_latency_seconds"] = (
-        float(np.percentile(merged, 50.0)) if merged is not None else 0.0
-    )
-    totals["p99_latency_seconds"] = (
-        float(np.percentile(merged, 99.0)) if merged is not None else 0.0
+    totals["p50_latency_seconds"], totals["p99_latency_seconds"] = p50_p99(
+        latencies
     )
     for name, value in buffer_totals.items():
         totals[f"observations_{name}"] = value
@@ -84,13 +77,7 @@ def _backend_errors(
     for view in views:
         for scope, window in view.get("backend_error_windows", {}).items():
             merged.setdefault(scope, []).extend(window)
-    result: dict[str, dict[str, float]] = {}
-    for (model, backend), window in merged.items():
-        if window:
-            result.setdefault(model, {})[backend] = float(
-                sum(window) / len(window)
-            )
-    return result
+    return mean_errors(merged)
 
 
 def merge_worker_stats(
@@ -118,72 +105,3 @@ def merge_worker_stats(
         "backend_errors": _backend_errors(views),
     }
 
-
-class ClusterStats:
-    """A sharded service's fleet metrics: one :func:`merge_worker_stats`
-    fold over one ``stats_view()`` read of every live shard per call."""
-
-    def __init__(self, cluster) -> None:
-        self._cluster = cluster
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, object]:
-        """Aggregate, per-shard breakdown and backend errors, as plain dicts."""
-        return merge_worker_stats(
-            {
-                shard_id: worker.stats_view()
-                for shard_id, worker in self._cluster._workers_snapshot().items()
-            }
-        )
-
-    def aggregate(self) -> dict[str, float]:
-        """One fleet-wide view: summed counters, true hit rate, merged
-        latency percentiles."""
-        return self.snapshot()["aggregate"]
-
-    def per_shard(self) -> dict[str, dict[str, float]]:
-        """Each shard's own fold: counters, hit rate, percentiles, buffer."""
-        return self.snapshot()["per_shard"]
-
-    def backend_errors(self) -> dict[str, dict[str, float]]:
-        """Fleet-wide per-``{model key: {backend: mean |error|}}`` view."""
-        return self.snapshot()["backend_errors"]
-
-    # ------------------------------------------------------------------
-    # Convenience properties (mirror ServingStats where they make sense)
-    # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """Fleet-wide cache hit rate over all predicates served."""
-        return self.aggregate()["hit_rate"]
-
-    @property
-    def refits_completed(self) -> int:
-        """Refits published across all shards."""
-        return int(self.aggregate()["refits_completed"])
-
-    @property
-    def observations(self) -> int:
-        """Observations absorbed by trainers across all shards."""
-        return int(self.aggregate()["observations"])
-
-    @property
-    def p50_latency_seconds(self) -> float:
-        """Fleet-wide median request latency."""
-        return self.aggregate()["p50_latency_seconds"]
-
-    @property
-    def p99_latency_seconds(self) -> float:
-        """Fleet-wide tail request latency."""
-        return self.aggregate()["p99_latency_seconds"]
-
-    def __repr__(self) -> str:
-        totals = self.aggregate()
-        return (
-            f"ClusterStats(shards={int(totals['shard_count'])}, "
-            f"served={int(totals['predicates_served'])}, "
-            f"hit_rate={totals['hit_rate']:.2f}, "
-            f"refits={int(totals['refits_completed'])})"
-        )

@@ -33,14 +33,23 @@ import threading
 import time
 
 from repro.exceptions import NetError
+from repro.serving.stats import Counters
 
 __all__ = ["ChaosProxy", "ChaosSchedule"]
 
 _ACCEPT_TIMEOUT = 0.2
 
 
-class ChaosProxy:
+class ChaosProxy(Counters):
     """A misbehaving TCP relay in front of a real listener."""
+
+    #: Fault totals since construction.
+    COUNTERS = (
+        "connections_accepted",
+        "connections_dropped",
+        "connections_severed",
+        "chunks_delayed",
+    )
 
     def __init__(
         self,
@@ -54,9 +63,9 @@ class ChaosProxy:
         sever_rate: float = 0.0,
         chunk_size: int = 4096,
     ) -> None:
+        super().__init__()
         self._target = (target_host, target_port)
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
         self._configure_locked(connect_drop_rate, delay_range, sever_rate)
         if chunk_size < 1:
             raise NetError("chunk_size must be at least 1")
@@ -64,10 +73,6 @@ class ChaosProxy:
         self._closing = threading.Event()
         self._conn_lock = threading.Lock()
         self._live: set[socket.socket] = set()
-        self.connections_accepted = 0
-        self.connections_dropped = 0
-        self.connections_severed = 0
-        self.chunks_delayed = 0
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
@@ -135,7 +140,7 @@ class ChaosProxy:
             self._live.clear()
         for sock in victims:
             self._slam(sock)
-        self.connections_severed += len(victims)
+        self.add("connections_severed", len(victims))
         return len(victims)
 
     # ------------------------------------------------------------------
@@ -149,18 +154,18 @@ class ChaosProxy:
                 continue
             except OSError:
                 break
-            self.connections_accepted += 1
+            self.add("connections_accepted")
             with self._lock:
                 drop = self._rng.random() < self._connect_drop_rate
             if drop:
-                self.connections_dropped += 1
+                self.add("connections_dropped")
                 self._slam(client)
                 continue
             try:
                 upstream = socket.create_connection(self._target, timeout=5.0)
             except OSError:
                 # Target itself is down: behave like a refused connection.
-                self.connections_dropped += 1
+                self.add("connections_dropped")
                 self._slam(client)
                 continue
             with self._conn_lock:
@@ -187,11 +192,11 @@ class ChaosProxy:
                     )
                     sever = self._rng.random() < self._sever_rate
                 if delay > 0:
-                    self.chunks_delayed += 1
+                    self.add("chunks_delayed")
                     time.sleep(delay)
                 sink.sendall(chunk)
                 if sever:
-                    self.connections_severed += 1
+                    self.add("connections_severed")
                     self._slam(source)
                     self._slam(sink)
                     break
@@ -224,15 +229,6 @@ class ChaosProxy:
             pass
         self.sever_all()
         self._thread.join(5.0)
-
-    def counters(self) -> dict[str, int]:
-        """Fault totals since construction, as a plain dict."""
-        return {
-            "connections_accepted": self.connections_accepted,
-            "connections_dropped": self.connections_dropped,
-            "connections_severed": self.connections_severed,
-            "chunks_delayed": self.chunks_delayed,
-        }
 
     def __enter__(self) -> ChaosProxy:
         return self

@@ -327,7 +327,7 @@ class RemoteSelectivityService:
         return self._call("ping", timeout=timeout)
 
     def fleet_stats(self) -> dict[str, Any]:
-        """The gateway's ClusterStats-shaped fleet view."""
+        """The gateway's fleet view: the fleet fold plus gateway counters."""
         return self._call("fleet_stats")
 
     def worker_names(self) -> tuple[str, ...]:

@@ -147,7 +147,7 @@ class _WorkerLink:
             self._reader, self._writer = reader, writer
             self._reader_task = asyncio.create_task(self._read_loop())
             if self._was_connected:
-                self._stats.record_reconnect()
+                self._stats.add("reconnects")
             self._was_connected = True
 
     async def _read_loop(self) -> None:
@@ -216,7 +216,7 @@ class _WorkerLink:
             response = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
             self._pending.pop(request_id, None)
-            self._stats.record_timeout()
+            self._stats.add("timeouts")
             raise RemoteTimeoutError(
                 f"worker {self.name!r} did not answer {method!r} within "
                 f"{timeout}s"
@@ -431,9 +431,9 @@ class SelectivityGateway:
                 except (WorkerUnavailableError, NetError):
                     # The next call (or next health tick) reconnects; the
                     # link already failed its in-flight futures.
-                    self._stats.record_health_failure()
+                    self._stats.add("health_failures")
                     if breaker is not None and breaker.record_failure():
-                        self._stats.record_breaker_open()
+                        self._stats.add("breaker_opens")
                     continue
                 if breaker is not None:
                     breaker.record_success()
@@ -475,18 +475,18 @@ class SelectivityGateway:
                     )
                 except RemoteTimeoutError:
                     if breaker is not None and breaker.record_failure():
-                        self._stats.record_breaker_open()
+                        self._stats.add("breaker_opens")
                     raise  # the worker may still apply it; never replay
                 except (WorkerUnavailableError, NetError) as error:
                     if breaker is not None and breaker.record_failure():
-                        self._stats.record_breaker_open()
+                        self._stats.add("breaker_opens")
                     last_error = error
                 else:
                     if breaker is not None:
                         breaker.record_success()
                     return value
             if attempt < retries:
-                self._stats.record_retry()
+                self._stats.add("retries")
                 await asyncio.sleep(
                     full_jitter(self._retry_backoff, attempt, self._rng)
                 )
@@ -619,7 +619,7 @@ class SelectivityGateway:
             values = np.full(len(predicates), self._degraded_prior)
         else:
             raise error
-        self._stats.record_degraded(len(predicates))
+        self._stats.add("degraded_estimates", len(predicates))
         return values
 
     async def estimate(
@@ -671,7 +671,7 @@ class SelectivityGateway:
         groups = group_by_key(pairs)
         if not groups:
             return results
-        self._stats.record_fanout(len(self._router.split(groups)))
+        self._stats.add("fanouts", len(self._router.split(groups)))
         answers = await asyncio.gather(
             *(
                 self.estimate_batch(key, predicates)
@@ -749,7 +749,7 @@ class SelectivityGateway:
                 "is unreachable"
             )
         journal.pending.append((predicate, selectivity))
-        self._stats.record_buffered_write()
+        self._stats.add("buffered_writes")
         return True
 
     async def _replay_pending_for_key(
@@ -776,7 +776,7 @@ class SelectivityGateway:
                 break
             journal.delivered += 1
             journal.recent.append((predicate, selectivity))
-            self._stats.record_buffered_replay()
+            self._stats.add("buffered_writes_replayed")
             replayed += 1
         return replayed
 
@@ -824,7 +824,7 @@ class SelectivityGateway:
                     shortfall = gap - len(tail)
                     if shortfall > 0:
                         lost += shortfall
-                        self._stats.record_lost_writes(shortfall)
+                        self._stats.add("lost_writes", shortfall)
                     for predicate, selectivity in tail:
                         await self._call_routed(
                             key,
@@ -836,7 +836,7 @@ class SelectivityGateway:
                             },
                         )
                         replayed += 1
-                        self._stats.record_buffered_replay()
+                        self._stats.add("buffered_writes_replayed")
                 replayed += await self._replay_pending_for_key(key, journal)
             restored += 1
             try:
@@ -844,7 +844,7 @@ class SelectivityGateway:
             except (WorkerUnavailableError, NetError, ServingError):
                 pass
         if restored:
-            self._stats.record_checkpoint_restores(restored)
+            self._stats.add("checkpoint_restores", restored)
         return {"keys": restored, "replayed": replayed, "lost": lost}
 
     async def refit_now(
@@ -903,7 +903,7 @@ class SelectivityGateway:
                 if isinstance(error, RemoteTimeoutError):
                     raise  # the budget itself expired mid-drain
                 if breaker is not None and breaker.record_failure():
-                    self._stats.record_breaker_open()
+                    self._stats.add("breaker_opens")
                 unreachable.append(name)
             else:
                 if breaker is not None:
@@ -978,21 +978,22 @@ class SelectivityGateway:
         # a lost bundle is an error to surface, not to replay.
         bundle = await source.call("migrate_out", {"table": key}, timeout=None)
         await dest.call("migrate_in", {"bundle": bundle}, timeout=None)
-        self._stats.record_migration()
+        self._stats.add("migrations")
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     async def fleet_stats(self) -> dict[str, Any]:
-        """One ClusterStats-shaped view over the whole fleet.
+        """One view over the whole fleet.
 
         ``aggregate`` / ``per_shard`` / ``backend_errors`` come from the
-        same fold :meth:`repro.cluster.stats.ClusterStats.snapshot` runs
-        (:func:`~repro.cluster.stats.merge_worker_stats`), so a worker's
-        ``per_shard`` entry has a shard's schema; ``gateway`` adds this
-        gateway's own counters and latency windows.  A worker that cannot
-        be reached is skipped (its name is listed under ``unreachable``)
-        rather than failing the whole scrape.
+        same fold the in-process cluster's
+        :meth:`~repro.cluster.service.ShardedSelectivityService.fleet_stats`
+        returns (:func:`~repro.cluster.stats.merge_worker_stats`), so a
+        worker's ``per_shard`` entry has a shard's schema; ``gateway``
+        adds this gateway's own counters and latency windows.  A worker
+        that cannot be reached is skipped (its name is listed under
+        ``unreachable``) rather than failing the whole scrape.
         """
         names = self._router.shards
         views = await asyncio.gather(

@@ -158,7 +158,7 @@ class WorkerServer:
             if key in existing:
                 continue
             self._worker.install_state(state, decode=decode_backend)
-            self._worker.stats.record_checkpoint_restore()
+            self._worker.stats.add("checkpoint_restores")
             with self._ckpt_lock:
                 self._last_checkpoint[key] = now
             restored += 1
@@ -183,7 +183,7 @@ class WorkerServer:
         with self._ckpt_lock:
             self._writes_since[key] = 0
             self._last_checkpoint[key] = time.monotonic()
-        self._worker.stats.record_checkpoint()
+        self._worker.stats.add("checkpoints_taken")
         return True
 
     def checkpoint_all(self, dirty_only: bool = False) -> int:

@@ -11,7 +11,7 @@ loop into a small production-shaped subsystem:
 * :mod:`repro.serving.policy` — count- and drift-based refit triggers,
 * :mod:`repro.serving.scheduler` — background (or inline) refit execution,
 * :mod:`repro.serving.stats` — hit rate, latency percentiles, refit
-  counters,
+  counters, and the ``Counters`` core every layer's counter set uses,
 * :mod:`repro.serving.service` — the :class:`SelectivityService`
   front-end tying it all together (``estimate`` / ``estimate_batch`` /
   ``observe``),

@@ -56,9 +56,7 @@ class RefitScheduler:
         )
         self._worker: threading.Thread | None = None
         self._closed = False
-        self._submitted = 0
         self._coalesced = 0
-        self._executed = 0
         self._failures: list[tuple[Hashable, Exception]] = []
         # Background jobs accepted but not yet finished; drain() waits on
         # this instead of queue.join() so a timed-out drain leaves no
@@ -81,19 +79,9 @@ class RefitScheduler:
             return self._closed
 
     @property
-    def submitted(self) -> int:
-        """Jobs accepted for execution."""
-        return self._submitted
-
-    @property
     def coalesced(self) -> int:
         """Triggers dropped because the same key was already pending."""
         return self._coalesced
-
-    @property
-    def executed(self) -> int:
-        """Jobs that finished (successfully or not)."""
-        return self._executed
 
     @property
     def failures(self) -> list[tuple[Hashable, Exception]]:
@@ -117,7 +105,6 @@ class RefitScheduler:
             if key in self._pending:
                 self._coalesced += 1
                 return False
-            self._submitted += 1
             if self._mode == "background":
                 # Enqueue while still holding the lock so a concurrent
                 # shutdown() cannot slip its stop sentinel in front of
@@ -221,6 +208,3 @@ class RefitScheduler:
             with self._lock:
                 self._failures.append((key, error))
                 del self._failures[:-32]
-        finally:
-            with self._lock:
-                self._executed += 1

@@ -747,7 +747,7 @@ class SelectivityService:
         self._stats.forget_backend_errors(
             key, _challenger_stats_name(challenger.trainer)
         )
-        self._stats.record_promotion()
+        self._stats.add("promotions")
         assert snapshot.model is not None
         return served.trainer
 
@@ -924,7 +924,7 @@ class SelectivityService:
         served_estimate, _ = self._estimate_cached(key, snapshot, predicate)
         feedback = ((predicate, selectivity, served_estimate),)
         decision = self._absorb_into_champion(key, feedback, blocking=True)
-        self._stats.record_observation()
+        self._stats.add("observations")
         # blocking=False is load-bearing: a challenger mid-refit (a scan
         # backend rescanning its data source can hold its trainer lock
         # for seconds) must never stall the key's write path — the
@@ -966,7 +966,7 @@ class SelectivityService:
         decision = self._absorb_into_champion(key, feedback, blocking=blocking)
         if decision is None:
             return None
-        self._stats.record_observations(len(feedback))
+        self._stats.add("observations", len(feedback))
         self._mirror_to_challenger(key, feedback, blocking=False)
         try:
             return self._maybe_refit(key, decision)
@@ -1128,7 +1128,7 @@ class SelectivityService:
                 challenger.backlog.extend(taken)
         if not taken:
             return
-        self._stats.record_mirrored_observations(len(taken))
+        self._stats.add("challenger_observations", len(taken))
         self._drain_challenger(key, challenger, blocking=blocking)
 
     def _absorb_mirrored_locked(
@@ -1235,9 +1235,11 @@ class SelectivityService:
     def _maybe_refit(self, key: ModelKey, decision: RefitDecision) -> bool:
         if not decision:
             return False
-        self._stats.record_refit_triggered()
+        self._stats.add("refits_triggered")
         if decision.trigger in ("drift", "drift_shift"):
-            self._stats.record_drift_refit_triggered()
+            # Counted on top of refits_triggered: the ratio is the share
+            # of refits forced by the model being wrong, not just stale.
+            self._stats.add("drift_refits_triggered")
         self._scheduler.submit(key, lambda: self._refit(key))
         return True
 
@@ -1306,7 +1308,7 @@ class SelectivityService:
                 if served.retired:
                     continue
                 self._refit_locked(key, served)
-                self._stats.record_refit_completed()
+                self._stats.add("refits_completed")
                 return
         raise ServingError(
             f"served slot for key {key} kept changing; retry the refit"
@@ -1354,7 +1356,7 @@ class SelectivityService:
                 key, model, challenger.trainer.trained_count
             )
         self._cache.invalidate(("challenger", key))
-        self._stats.record_challenger_refit()
+        self._stats.add("challenger_refits")
 
     def _on_publish(self, key: ModelKey, snapshot: ModelSnapshot) -> None:
         # Version-scoped keys already guarantee correctness; eager

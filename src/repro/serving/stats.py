@@ -1,6 +1,15 @@
-"""Operational metrics for the serving layer.
+"""Operational metrics for the serving layer, and the one metrics core.
 
-:class:`ServingStats` is a small thread-safe metrics surface: request and
+:class:`Counters` is the counter set every layer builds on: a subclass
+names its counters in ``COUNTERS``, each a plain ``int`` attribute,
+bumped by :meth:`Counters.add` and read together by
+:meth:`Counters.counters` under one lock.  :func:`p50_p99` and
+:func:`mean_errors` are the two derived statistics every stats view
+reports, shared by the fleet fold
+(:func:`~repro.cluster.stats.merge_worker_stats`) and the gateway's
+:class:`~repro.net.stats.GatewayStats`.
+
+:class:`ServingStats` is one service's metrics surface: request and
 cache counters, refit counts, and a bounded reservoir of per-request
 latencies from which p50/p99 are computed on demand.  It deliberately has
 no external dependencies — :meth:`ServingStats.snapshot` returns a plain
@@ -18,16 +27,88 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.exceptions import ServingError
 
-__all__ = ["ServingStats"]
+__all__ = [
+    "BACKEND_ERROR_WINDOW",
+    "Counters",
+    "LATENCY_WINDOW",
+    "ServingStats",
+    "mean_errors",
+    "p50_p99",
+]
+
+#: Recent request latencies kept per latency reservoir.
+LATENCY_WINDOW = 4096
+#: Recent ``|served - true|`` errors kept per (model key, backend).
+BACKEND_ERROR_WINDOW = 512
 
 
-class ServingStats:
+def p50_p99(values: Sequence[float]) -> tuple[float, float]:
+    """``(p50, p99)`` of ``values`` from one percentile pass; zeros when
+    there are none."""
+    if not len(values):
+        return 0.0, 0.0
+    p50, p99 = np.percentile(np.asarray(values, dtype=float), (50.0, 99.0))
+    return float(p50), float(p99)
+
+
+def _hit_rate(counters: Mapping[str, int]) -> float:
+    lookups = counters["cache_hits"] + counters["cache_misses"]
+    return counters["cache_hits"] / lookups if lookups else 0.0
+
+
+def mean_errors(
+    windows: Mapping[tuple[str, str], Sequence[float]],
+) -> dict[str, dict[str, float]]:
+    """``{model key: {backend: mean |error|}}`` over per-(key, backend)
+    error windows; empty windows are left out."""
+    means: dict[str, dict[str, float]] = {}
+    for (model, backend), window in windows.items():
+        if window:
+            means.setdefault(model, {})[backend] = float(
+                sum(window) / len(window)
+            )
+    return means
+
+
+class Counters:
+    """A named set of integer counters behind one lock.
+
+    A subclass lists its counter names in ``COUNTERS``; each is a plain
+    ``int`` attribute, so a single counter reads without the lock.
+    Methods that move several counters at once (or a counter together
+    with other state) update the attributes directly under
+    ``self._lock``.
+    """
+
+    COUNTERS: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+
+    def add(self, name: str, amount: int = 1) -> None:
+        """Bump counter ``name`` by ``amount``."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + amount)
+
+    def counters(self) -> dict[str, int]:
+        """Every counter, in ``COUNTERS`` order, from one lock hold."""
+        with self._lock:
+            return self._counters_locked()
+
+    def _counters_locked(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
+
+class ServingStats(Counters):
     """Counters and latency percentiles for a :class:`SelectivityService`."""
 
     #: The plain counters, in :meth:`counters` order.  Fleet views sum
@@ -54,16 +135,9 @@ class ServingStats:
         "checkpoint_restores",
     )
 
-    def __init__(
-        self, latency_window: int = 4096, backend_error_window: int = 512
-    ) -> None:
-        if latency_window < 1:
-            raise ServingError("latency_window must be at least 1")
-        if backend_error_window < 1:
-            raise ServingError("backend_error_window must be at least 1")
-        self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        self._backend_error_window = backend_error_window
+    def __init__(self) -> None:
+        super().__init__()
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         # (model key string, backend name) -> recent |served - true| errors.
         self._backend_errors: dict[tuple[str, str], deque[float]] = {}
         # (model key string, backend name) -> [count, error sum] over the
@@ -71,8 +145,6 @@ class ServingStats:
         # relative drift (shift) trigger.  Unlike the bounded windows
         # above these never forget (except on hand-off/unregister).
         self._lifetime_errors: dict[tuple[str, str], list[float]] = {}
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Recording
@@ -119,25 +191,6 @@ class ServingStats:
             self.cache_misses += count - hits
             self._latencies.append(seconds)
 
-    def record_observation(self) -> None:
-        """Record one piece of feedback flowing into the service."""
-        with self._lock:
-            self.observations += 1
-
-    def record_observations(self, count: int) -> None:
-        """Record a batch of feedback under one lock acquisition."""
-        if count < 0:
-            raise ServingError("observation count must be non-negative")
-        with self._lock:
-            self.observations += count
-
-    def record_mirrored_observations(self, count: int) -> None:
-        """Feedback mirrored to a shadowing challenger backend."""
-        if count < 0:
-            raise ServingError("observation count must be non-negative")
-        with self._lock:
-            self.challenger_observations += count
-
     def record_backend_errors(
         self, model: object, backend: str, errors: Sequence[float]
     ) -> None:
@@ -154,7 +207,7 @@ class ServingStats:
         with self._lock:
             window = self._backend_errors.get(scope)
             if window is None:
-                window = deque(maxlen=self._backend_error_window)
+                window = deque(maxlen=BACKEND_ERROR_WINDOW)
                 self._backend_errors[scope] = window
             window.extend(errors)
             lifetime = self._lifetime_errors.setdefault(scope, [0, 0.0])
@@ -181,46 +234,6 @@ class ServingStats:
                     if s[0] == name and (backend is None or s[1] == backend)
                 ]:
                     del store[scope]
-
-    def record_refit_triggered(self) -> None:
-        """A policy trigger fired (the refit may still be coalesced)."""
-        with self._lock:
-            self.refits_triggered += 1
-
-    def record_drift_refit_triggered(self) -> None:
-        """A drift trigger (absolute or relative) forced the refit.
-
-        Counted *in addition to* :meth:`record_refit_triggered` — the
-        ratio of the two counters is the share of refits driven by the
-        model being wrong rather than merely out of date.
-        """
-        with self._lock:
-            self.drift_refits_triggered += 1
-
-    def record_refit_completed(self) -> None:
-        """A refit finished and its model was published."""
-        with self._lock:
-            self.refits_completed += 1
-
-    def record_challenger_refit(self) -> None:
-        """A challenger refit finished and its snapshot was published."""
-        with self._lock:
-            self.challenger_refits += 1
-
-    def record_promotion(self) -> None:
-        """A challenger was atomically promoted to champion."""
-        with self._lock:
-            self.promotions += 1
-
-    def record_checkpoint(self) -> None:
-        """One durable checkpoint bundle was written for a key."""
-        with self._lock:
-            self.checkpoints_taken += 1
-
-    def record_checkpoint_restore(self) -> None:
-        """One key was rebuilt from its latest checkpoint at boot."""
-        with self._lock:
-            self.checkpoint_restores += 1
 
     def record_sandwich(self, source: str, clamped: str | None) -> None:
         """One sandwiched join estimate was served.
@@ -255,39 +268,26 @@ class ServingStats:
     @property
     def hit_rate(self) -> float:
         """Cache hit rate over all predicates served (0.0 when idle)."""
-        with self._lock:
-            total = self.cache_hits + self.cache_misses
-            return self.cache_hits / total if total else 0.0
+        return _hit_rate(self.counters())
 
-    def latency_values(self) -> tuple[float, ...]:
-        """The recent-latency reservoir, oldest first.
+    def view(self) -> dict[str, Any]:
+        """Counters, latency reservoir and error windows from one lock hold.
 
-        Cross-service aggregators (e.g. the cluster's
-        :class:`~repro.cluster.stats.ClusterStats`) merge these windows to
-        compute fleet-wide percentiles instead of averaging per-shard
-        percentiles (which would be statistically meaningless).
+        ``counters`` holds every name in ``COUNTERS``, ``latencies`` the
+        recent-latency reservoir (scalar and batch requests, oldest
+        first) and ``backend_error_windows`` the raw per-(key, backend)
+        error windows.  :meth:`snapshot` and a shard's
+        :meth:`~repro.cluster.shard.ShardWorker.stats_view` are built on
+        it, so the counters and the samples they count always agree;
+        fleet folds merge the raw samples rather than averaging
+        per-shard percentiles or means.
         """
         with self._lock:
-            return tuple(self._latencies)
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Latency percentile (seconds) over the recent request window."""
-        if not (0.0 <= percentile <= 100.0):
-            raise ServingError("percentile must be in [0, 100]")
-        with self._lock:
-            if not self._latencies:
-                return 0.0
-            return float(np.percentile(np.array(self._latencies), percentile))
-
-    @property
-    def p50_latency_seconds(self) -> float:
-        """Median request latency."""
-        return self.latency_percentile(50.0)
-
-    @property
-    def p99_latency_seconds(self) -> float:
-        """Tail request latency."""
-        return self.latency_percentile(99.0)
+            return {
+                "counters": self._counters_locked(),
+                "latencies": tuple(self._latencies),
+                "backend_error_windows": self._error_windows_locked(),
+            }
 
     def backend_errors(self) -> dict[str, dict[str, float]]:
         """Mean absolute error per ``{model key: {backend name: error}}``.
@@ -297,26 +297,19 @@ class ServingStats:
         recent error window.  Keys with no recorded errors are absent.
         """
         with self._lock:
-            view: dict[str, dict[str, float]] = {}
-            for (model, backend), window in self._backend_errors.items():
-                if window:
-                    view.setdefault(model, {})[backend] = float(
-                        sum(window) / len(window)
-                    )
-            return view
+            return mean_errors(self._backend_errors)
 
     def backend_error_windows(self) -> dict[tuple[str, str], tuple[float, ...]]:
-        """The raw per-(key, backend) error windows, oldest first.
-
-        Fleet aggregators (:class:`~repro.cluster.stats.ClusterStats`)
-        merge these instead of averaging per-shard means.
-        """
+        """The raw per-(key, backend) error windows, oldest first."""
         with self._lock:
-            return {
-                scope: tuple(window)
-                for scope, window in self._backend_errors.items()
-                if window
-            }
+            return self._error_windows_locked()
+
+    def _error_windows_locked(self) -> dict[tuple[str, str], tuple[float, ...]]:
+        return {
+            scope: tuple(window)
+            for scope, window in self._backend_errors.items()
+            if window
+        }
 
     def lifetime_backend_error(
         self, model: object, backend: str
@@ -370,29 +363,21 @@ class ServingStats:
                     float(total),
                 ]
 
-    def counters(self) -> dict[str, int]:
-        """The plain counters under one lock acquisition.
-
-        Unlike :meth:`snapshot`, computes no percentiles — aggregators
-        that only sum counters (the cluster's fleet stats) use this to
-        avoid touching the latency reservoir at all.
-        """
-        with self._lock:
-            return {name: getattr(self, name) for name in self.COUNTERS}
-
     def snapshot(self) -> dict[str, object]:
-        """A plain-dict view of every counter plus derived metrics.
+        """Every counter plus derived metrics, from one :meth:`view`.
 
         Includes the per-key :meth:`backend_errors` A/B surface, so a
         plain single-service deployment ships the same promote evidence
-        the cluster's ``stats.snapshot()['backend_errors']`` exports.
+        the cluster's ``fleet_stats()["backend_errors"]`` exports.
         """
-        counters: dict[str, object] = dict(self.counters())
-        counters["hit_rate"] = self.hit_rate
-        counters["p50_latency_seconds"] = self.p50_latency_seconds
-        counters["p99_latency_seconds"] = self.p99_latency_seconds
-        counters["backend_errors"] = self.backend_errors()
-        return counters
+        view = self.view()
+        snapshot: dict[str, object] = dict(view["counters"])
+        snapshot["hit_rate"] = _hit_rate(view["counters"])
+        p50, p99 = p50_p99(view["latencies"])
+        snapshot["p50_latency_seconds"] = p50
+        snapshot["p99_latency_seconds"] = p99
+        snapshot["backend_errors"] = mean_errors(view["backend_error_windows"])
+        return snapshot
 
     def __repr__(self) -> str:
         return (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -82,6 +83,36 @@ def make_cluster():
                 cluster.close()
         except Exception:
             pass
+
+
+class _RecordAfterFirstRelease:
+    """A stats lock that lets one cache-hit ``record_estimate`` land
+    right after its first release, so a reader that takes the lock
+    twice sees a request arrive between its two reads."""
+
+    def __init__(self, stats) -> None:
+        self._lock = threading.Lock()
+        self._stats = stats
+        self._fired = False
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+        if not self._fired:
+            self._fired = True
+            self._stats.record_estimate(0.001, cache_hit=True)
+
+
+@pytest.fixture
+def record_between_reads():
+    """Install :class:`_RecordAfterFirstRelease` as a stats object's lock."""
+
+    def install(stats) -> None:
+        stats._lock = _RecordAfterFirstRelease(stats)
+
+    return install
 
 
 @pytest.fixture

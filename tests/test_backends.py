@@ -723,7 +723,7 @@ class TestClusterBackends:
             challenger_version = cluster.challenger_snapshot_for(key).version
             assert challenger_version >= 1
             # A/B evidence accrues while both backends see the traffic.
-            errors = cluster.stats.backend_errors()[str(key)]
+            errors = cluster.fleet_stats()["backend_errors"][str(key)]
             assert "STHoles@challenger" in errors and "QuickSel" in errors
             challenger_model = cluster.challenger_snapshot_for(key).model
             expected = np.array(
@@ -739,7 +739,7 @@ class TestClusterBackends:
             # Exact snapshot hand-off for the challenger too, and the
             # A/B error evidence migrated with the key.
             assert cluster.challenger_snapshot_for(key).model is challenger_model
-            errors = cluster.stats.backend_errors()[str(key)]
+            errors = cluster.fleet_stats()["backend_errors"][str(key)]
             assert "STHoles@challenger" in errors and "QuickSel" in errors
             retired = cluster.promote(key)
             assert isinstance(retired, QuickSel)
@@ -750,6 +750,6 @@ class TestClusterBackends:
                 rtol=0,
                 atol=PARITY,
             )
-            assert cluster.stats.aggregate()["promotions"] == 1
+            assert cluster.fleet_stats()["aggregate"]["promotions"] == 1
         finally:
             cluster.close()

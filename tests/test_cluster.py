@@ -13,7 +13,7 @@ Covers the contracts the cluster makes:
   publish, losing nothing,
 * elasticity — ``add_shard``/``remove_shard`` hand off the exact served
   snapshot (estimates unchanged, feedback preserved),
-* fleet metrics — :class:`ClusterStats` sums counters and merges latency
+* fleet metrics — ``fleet_stats()`` sums counters and merges latency
   windows instead of averaging per-shard percentiles,
 * engine wiring — :meth:`FeedbackLoop.register_service` and
   :func:`plan_many_tables` work identically on plain and sharded
@@ -767,8 +767,9 @@ class TestClusterStats:
             for predicate, selectivity in feedback[40:50]:
                 cluster.observe(TABLES[0], predicate, selectivity)
             cluster.drain()
-            aggregate = cluster.stats.aggregate()
-            per_shard = cluster.stats.per_shard()
+            snapshot = cluster.fleet_stats()
+            aggregate = snapshot["aggregate"]
+            per_shard = snapshot["per_shard"]
             assert aggregate["shard_count"] == 4
             assert aggregate["model_keys"] == len(TABLES)
             assert aggregate["predicates_served"] == sum(
@@ -784,8 +785,6 @@ class TestClusterStats:
                 >= aggregate["p50_latency_seconds"]
                 >= 0.0
             )
-            assert cluster.stats.p99_latency_seconds >= 0.0
-            snapshot = cluster.stats.snapshot()
             assert set(snapshot) == {
                 "aggregate", "per_shard", "backend_errors"
             }
@@ -808,7 +807,7 @@ class TestClusterStats:
             return view
 
         monkeypatch.setattr(ShardWorker, "stats_view", view_then_serve)
-        snapshot = cluster.stats.snapshot()
+        snapshot = cluster.fleet_stats()
         assert snapshot["aggregate"]["predicates_served"] == sum(
             view["predicates_served"] for view in snapshot["per_shard"].values()
         )
@@ -824,7 +823,7 @@ class TestClusterStats:
         client = connect(*server.address)
         try:
             remote = client.fleet_stats()
-            local = cluster.stats.snapshot()
+            local = cluster.fleet_stats()
         finally:
             client.close()
             server.close()
@@ -834,6 +833,30 @@ class TestClusterStats:
         assert schema == set(remote["aggregate"]) == set(local["aggregate"])
         for entry in local["per_shard"].values():
             assert set(entry) == schema
+
+    def test_fleet_aggregate_covers_the_service_snapshot(
+        self, make_service, make_cluster
+    ):
+        service_keys = set(make_service().stats.snapshot()) - {"backend_errors"}
+        assert service_keys <= set(make_cluster(2).fleet_stats()["aggregate"])
+
+    def test_stats_view_reads_the_stats_once(
+        self, cluster_world, make_cluster, register_tables,
+        record_between_reads,
+    ):
+        """A request landing mid-view cannot leave the view holding more
+        latencies than the requests it counts."""
+        _, base, probes, _ = cluster_world
+        cluster = make_cluster(1)
+        register_tables(cluster, base, TABLES[:1])
+        cluster.estimate_batch(TABLES[0], probes[:1])
+        worker = cluster.shard(cluster.shard_ids[0])
+        record_between_reads(worker.stats)
+        view = worker.stats_view()
+        counters = view["counters"]
+        assert len(view["latencies"]) == (
+            counters["estimate_requests"] + counters["batch_requests"]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.net import (
     merge_worker_stats,
 )
 from repro.serving import RefitScheduler, SelectivityService
+from repro.serving.stats import LATENCY_WINDOW
 from repro.serving.adapter import SelectivityServing, ServingEstimator
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
@@ -115,30 +116,55 @@ class TestGatewayStats:
         for value in (0.010, 0.020, 0.030):
             stats.record_worker_call("a", value)
         stats.record_worker_call("b", 0.100)
-        assert stats.worker_latency_percentile("a", 50.0) == pytest.approx(0.020)
-        assert stats.worker_latency_percentile("idle", 99.0) == 0.0
-        assert stats.latency_percentile(100.0) == pytest.approx(0.100)
         view = stats.snapshot()
         assert set(view["per_worker_latency"]) == {"a", "b"}
-        assert view["per_worker_latency"]["a"]["calls"] == 3
+        latency = view["per_worker_latency"]["a"]
+        assert latency["calls"] == 3
+        assert latency["p50_latency_seconds"] == pytest.approx(0.020)
+        # Merged over every worker's window: p99 of 10, 20, 30, 100 ms.
+        assert view["p99_latency_seconds"] == pytest.approx(0.0979)
 
     def test_forget_worker_drops_its_window(self):
         stats = GatewayStats()
         stats.record_worker_call("gone", 1.0)
         stats.forget_worker("gone")
-        assert stats.latency_percentile(99.0) == 0.0
+        view = stats.snapshot()
+        assert view["per_worker_latency"] == {}
+        assert view["p99_latency_seconds"] == 0.0
 
     def test_window_bound_and_validation(self):
-        with pytest.raises(NetError):
-            GatewayStats(latency_window=0)
-        stats = GatewayStats(latency_window=2)
-        for value in (1.0, 2.0, 3.0):
-            stats.record_worker_call("a", value)
-        assert stats.worker_latency_percentile("a", 0.0) == pytest.approx(2.0)
-        with pytest.raises(NetError):
-            stats.latency_percentile(101.0)
-        with pytest.raises(NetError):
-            stats.worker_latency_percentile("a", -1.0)
+        stats = GatewayStats()
+        for value in range(LATENCY_WINDOW + 2):
+            stats.record_worker_call("a", float(value))
+        latency = stats.snapshot()["per_worker_latency"]["a"]
+        assert latency["calls"] == LATENCY_WINDOW
+        # The newest calls, 2 .. LATENCY_WINDOW + 1, are kept.
+        assert latency["p50_latency_seconds"] == pytest.approx(
+            (LATENCY_WINDOW + 3) / 2
+        )
+
+    def test_snapshot_schema(self):
+        """The counter names dashboards and the benchmark read."""
+        assert set(GatewayStats().snapshot()) == {
+            "requests",
+            "responses",
+            "errors",
+            "retries",
+            "reconnects",
+            "timeouts",
+            "in_flight",
+            "fanouts",
+            "migrations",
+            "degraded_estimates",
+            "breaker_opens",
+            "buffered_writes",
+            "buffered_writes_replayed",
+            "lost_writes",
+            "checkpoint_restores",
+            "health_failures",
+            "per_worker_latency",
+            "p99_latency_seconds",
+        }
 
 
 class TestMergeWorkerStats:

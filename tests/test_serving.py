@@ -15,6 +15,7 @@ Covers the contracts the serving layer makes:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.serving import (
     RefitScheduler,
     SelectivityService,
     ServingEstimator,
+    ServingStats,
     predicate_cache_key,
 )
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
@@ -606,6 +608,38 @@ class TestSelectivityService:
         assert snapshot["cache_hits"] >= 1
         assert 0.0 <= snapshot["hit_rate"] <= 1.0
         assert snapshot["p99_latency_seconds"] >= snapshot["p50_latency_seconds"] >= 0.0
+
+    def test_snapshot_reads_the_stats_once(self, record_between_reads):
+        """A request landing mid-snapshot cannot make the hit rate
+        disagree with the hit and miss counts beside it."""
+        stats = ServingStats()
+        stats.record_estimate(0.001, cache_hit=False)
+        record_between_reads(stats)
+        snapshot = stats.snapshot()
+        lookups = snapshot["cache_hits"] + snapshot["cache_misses"]
+        assert snapshot["hit_rate"] == snapshot["cache_hits"] / lookups
+
+    def test_concurrent_counter_adds_are_not_lost(self):
+        stats = ServingStats()
+        start = threading.Barrier(8, timeout=10.0)
+
+        def bump() -> None:
+            start.wait()
+            for _ in range(100_000):
+                stats.add("observations")
+
+        threads = [threading.Thread(target=bump) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stats.counters()["observations"] == 8 * 100_000
 
 
 # ----------------------------------------------------------------------

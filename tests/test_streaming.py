@@ -37,6 +37,7 @@ from repro.core.quicksel import QuickSel
 from repro.core.training import ObservedQuery, build_problem, solve
 from repro.exceptions import ServingError, SolverError, TrainingError
 from repro.serving import RefitPolicy, ServingStats
+from repro.serving.stats import BACKEND_ERROR_WINDOW
 from repro.solvers.linalg import (
     CachedCholesky,
     cholesky_downdate,
@@ -598,25 +599,32 @@ class TestShiftTrigger:
 
     def test_drift_refit_counter_lands_in_snapshots(self):
         stats = ServingStats()
-        stats.record_refit_triggered()
-        stats.record_drift_refit_triggered()
+        stats.add("refits_triggered")
+        stats.add("drift_refits_triggered")
         assert stats.counters()["drift_refits_triggered"] == 1
         assert stats.snapshot()["drift_refits_triggered"] == 1
 
     def test_stats_lifetime_accumulators(self):
-        stats = ServingStats(backend_error_window=4)
-        stats.record_backend_errors("k", "QuickSel", [0.1] * 10)
+        stats = ServingStats()
+        recorded = BACKEND_ERROR_WINDOW + 6
+        stats.record_backend_errors("k", "QuickSel", [0.1] * recorded)
         count, mean = stats.lifetime_backend_error("k", "QuickSel")
-        assert count == 10 and mean == pytest.approx(0.1)
-        # The bounded window forgot most of those; the lifetime didn't.
-        assert len(stats.backend_error_windows()[("k", "QuickSel")]) == 4
+        assert count == recorded and mean == pytest.approx(0.1)
+        # The bounded window forgot some of those; the lifetime didn't.
+        assert (
+            len(stats.backend_error_windows()[("k", "QuickSel")])
+            == BACKEND_ERROR_WINDOW
+        )
         totals = stats.lifetime_error_totals()
-        assert totals[("k", "QuickSel")] == (10, pytest.approx(1.0))
+        assert totals[("k", "QuickSel")] == (
+            recorded,
+            pytest.approx(0.1 * recorded),
+        )
         replica = ServingStats()
         replica.record_backend_errors("k", "QuickSel", [0.1] * 4)
         replica.absorb_lifetime_errors(totals)
         assert replica.lifetime_backend_error("k", "QuickSel") == (
-            10,
+            recorded,
             pytest.approx(0.1),
         )
         stats.forget_backend_errors("k")
@@ -763,6 +771,6 @@ class TestClusterWindowMigration:
             cluster.observe(table, probes[0], 0.5)
             snapshot = cluster.refit_now(table)
             assert snapshot.model is not None
-        fleet = cluster.stats.aggregate()
+        fleet = cluster.fleet_stats()["aggregate"]
         assert fleet["drift_refits_triggered"] >= 0  # counter aggregates
         cluster.close()
