@@ -61,17 +61,16 @@ class ShardedSelectivityService:
         shard_ids: Sequence[str] | None = None,
         policy: RefitPolicy | None = None,
         cache_capacity: int = 4096,
-        per_key_cache_budget: int | None = None,
         scheduler_mode: str = "background",
         buffer_capacity: int | None = None,
         replicas: int = 64,
     ) -> None:
         """Build a cluster of ``num_shards`` identically configured shards.
 
-        ``cache_capacity`` / ``per_key_cache_budget`` / ``policy`` /
-        ``scheduler_mode`` / ``buffer_capacity`` apply *per shard* (each
-        shard models one node with its own resources).  ``replicas``
-        controls ring granularity.
+        ``cache_capacity`` / ``policy`` / ``scheduler_mode`` /
+        ``buffer_capacity`` apply *per shard* (each shard models one
+        node with its own resources).  ``replicas`` controls ring
+        granularity.
         """
         if shard_ids is None:
             if num_shards < 1:
@@ -83,7 +82,6 @@ class ShardedSelectivityService:
         self._shard_config = {
             "policy": policy,
             "cache_capacity": cache_capacity,
-            "per_key_cache_budget": per_key_cache_budget,
             "scheduler_mode": scheduler_mode,
             "buffer_capacity": buffer_capacity,
         }

@@ -104,7 +104,6 @@ class ShardWorker:
         shard_id: str,
         policy: RefitPolicy | None = None,
         cache_capacity: int = 4096,
-        per_key_cache_budget: int | None = None,
         scheduler_mode: str = "background",
         buffer_capacity: int | None = None,
     ) -> None:
@@ -112,9 +111,7 @@ class ShardWorker:
         self._scheduler = RefitScheduler(scheduler_mode)
         self._service = SelectivityService(
             registry=EstimatorRegistry(),
-            cache=EstimateCache(
-                cache_capacity, per_key_capacity=per_key_cache_budget
-            ),
+            cache=EstimateCache(cache_capacity),
             policy=policy,
             scheduler=self._scheduler,
             stats=ServingStats(),
@@ -311,7 +308,7 @@ class ShardWorker:
             "shadow_frac": 1.0,
             "leftovers": (),
         }
-        # An A/B pair moves as a pair: the registry refuses to withdraw
+        # An A/B pair moves as a pair: the service refuses to withdraw
         # a champion that still has a challenger, so it goes first.
         if self.has_challenger(key):
             state["challenger_errors"] = service.challenger_drift_errors(key)

@@ -103,13 +103,10 @@ IDEMPOTENT_READS = frozenset(
         "snapshot_for",
         "feedback_count",
         "model_keys",
-        "has_challenger",
-        "challenger_snapshot_for",
         "fleet_stats",
         "stats",
         "worker_names",
         "ping",
-        "identify",
     }
 )
 

@@ -64,7 +64,6 @@ class WorkerServer:
         shard_id: str = "worker",
         policy: RefitPolicy | None = None,
         cache_capacity: int = 4096,
-        per_key_cache_budget: int | None = None,
         scheduler_mode: str = "background",
         buffer_capacity: int | None = None,
         dispatch_threads: int = 8,
@@ -88,7 +87,6 @@ class WorkerServer:
             shard_id,
             policy=policy,
             cache_capacity=cache_capacity,
-            per_key_cache_budget=per_key_cache_budget,
             scheduler_mode=scheduler_mode,
             buffer_capacity=buffer_capacity,
         )
@@ -367,9 +365,6 @@ class WorkerServer:
             time.sleep(delay)
         return "pong"
 
-    def _do_identify(self) -> dict[str, Any]:
-        return {"shard_id": self.shard_id, "host": self._host, "port": self._port}
-
     def _do_register_model(
         self,
         table: str | ModelKey,
@@ -395,44 +390,6 @@ class WorkerServer:
         key = normalize_key(table, columns)
         payload = encode_backend(self._worker.unregister_model(key))
         self._discard_checkpoints(key)
-        return payload
-
-    def _do_register_challenger(
-        self,
-        table: str | ModelKey,
-        backend: bytes,
-        columns: Sequence[str] = (),
-        shadow_frac: float = 1.0,
-        refit_backlog: bool = True,
-        initial_errors: Sequence[float] = (),
-    ) -> ModelKey:
-        return self._worker.register_challenger(
-            table,
-            decode_backend(backend),
-            columns=columns,
-            shadow_frac=shadow_frac,
-            refit_backlog=refit_backlog,
-            initial_errors=initial_errors,
-        )
-
-    def _do_has_challenger(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bool:
-        return self._worker.has_challenger(normalize_key(table, columns))
-
-    def _do_challenger_snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
-        key = normalize_key(table, columns)
-        return encode_snapshot(self._worker.challenger_snapshot_for(key))
-
-    def _do_promote(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
-        key = normalize_key(table, columns)
-        payload = encode_backend(self._worker.promote(key))
-        if self._checkpoints is not None:
-            self.checkpoint_key(key)  # the served champion changed
         return payload
 
     def _do_model_keys(self) -> tuple[ModelKey, ...]:

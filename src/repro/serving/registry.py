@@ -13,15 +13,6 @@ The registry holds *only* immutable snapshots.  The mutable trainer (a
 feedback — QuickSel or any adapted baseline estimator) lives in the
 service layer; training happens off to the side and its finished model is
 published here.
-
-A/B serving: each key may additionally carry one *challenger* snapshot —
-a second, independently versioned chain for a shadow backend.  Champion
-reads are untouched; :meth:`EstimatorRegistry.promote` atomically
-republishes the challenger's current model as the next champion version
-(readers see the old champion or the promoted one, never a mix) and
-retires the challenger slot.  Challenger publishes do not fire the
-publish listeners — those drive champion-read caches; the service
-invalidates its challenger-scoped cache entries itself.
 """
 
 from __future__ import annotations
@@ -125,7 +116,6 @@ class EstimatorRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._cells: dict[ModelKey, SnapshotCell] = {}
-        self._challengers: dict[ModelKey, ModelSnapshot] = {}
         self._listeners: list[PublishListener] = []
 
     # ------------------------------------------------------------------
@@ -195,17 +185,10 @@ class EstimatorRegistry:
         """Withdraw a key from the registry, returning its final snapshot.
 
         Used when a model's ownership moves elsewhere (shard migration);
-        raises :class:`ServingError` for unknown keys — and for keys
-        still carrying a challenger (withdraw that first, or the A/B
-        pair would be silently split).  No listener fires: removal is a
-        hand-off, not a new version.
+        raises :class:`ServingError` for unknown keys.  No listener
+        fires: removal is a hand-off, not a new version.
         """
         with self._lock:
-            if key in self._challengers:
-                raise ServingError(
-                    f"key {key} still has a registered challenger; "
-                    "remove or promote it before withdrawing the champion"
-                )
             try:
                 cell = self._cells.pop(key)
             except KeyError as error:
@@ -259,7 +242,7 @@ class EstimatorRegistry:
         return snapshot
 
     def add_listener(self, listener: PublishListener) -> None:
-        """Invoke ``listener(key, snapshot)`` after every champion publish."""
+        """Invoke ``listener(key, snapshot)`` after every publish."""
         with self._lock:
             self._listeners.append(listener)
 
@@ -276,133 +259,6 @@ class EstimatorRegistry:
                 self._listeners.remove(listener)
             except ValueError:
                 pass
-
-    # ------------------------------------------------------------------
-    # Challenger track (A/B serving)
-    # ------------------------------------------------------------------
-    def register_challenger(
-        self, key: ModelKey, domain: Hyperrectangle
-    ) -> ModelSnapshot:
-        """Open a challenger snapshot chain (version 0 bootstrap) for ``key``.
-
-        Requires a registered champion for the key, over the *same*
-        domain (A/B comparison across different domains is meaningless);
-        a key carries at most one challenger at a time.
-        """
-        with self._lock:
-            champion_cell = self._cells.get(key)
-            champion = champion_cell.snapshot if champion_cell else None
-            if champion is None:
-                raise ServingError(
-                    f"cannot register a challenger for unregistered key {key}"
-                )
-            if champion.domain is not domain and champion.domain != domain:
-                raise ServingError(
-                    f"challenger for key {key} must cover the champion's domain"
-                )
-            if key in self._challengers:
-                raise ServingError(
-                    f"key {key} already has a registered challenger"
-                )
-            snapshot = ModelSnapshot(version=0, domain=champion.domain, model=None)
-            self._challengers[key] = snapshot
-            return snapshot
-
-    def has_challenger(self, key: ModelKey) -> bool:
-        """True if ``key`` currently carries a challenger chain."""
-        with self._lock:
-            return key in self._challengers
-
-    def current_challenger(self, key: ModelKey) -> ModelSnapshot:
-        """The challenger snapshot for ``key`` (raises if none registered)."""
-        with self._lock:
-            try:
-                return self._challengers[key]
-            except KeyError as error:
-                raise ServingError(
-                    f"no challenger registered for key {key}"
-                ) from error
-
-    def publish_challenger(
-        self,
-        key: ModelKey,
-        model: ServableModel,
-        trained_on: int,
-    ) -> ModelSnapshot:
-        """Swap in the challenger's next version (its own version chain).
-
-        No publish listeners fire — they guard champion-read caches; the
-        service owns challenger-scoped cache invalidation.
-        """
-        if model is None:
-            raise ServingError("cannot publish an empty challenger model")
-        with self._lock:
-            current = self._challengers.get(key)
-            if current is None:
-                raise ServingError(
-                    f"cannot publish to key {key} without a registered "
-                    "challenger; call register_challenger() first"
-                )
-            snapshot = ModelSnapshot(
-                version=current.version + 1,
-                domain=current.domain,
-                model=model,
-                trained_on=trained_on,
-            )
-            self._challengers[key] = snapshot
-            return snapshot
-
-    def remove_challenger(self, key: ModelKey) -> ModelSnapshot:
-        """Withdraw a key's challenger chain, returning its final snapshot.
-
-        The hand-off half of shard migration for A/B pairs; no listener
-        fires.
-        """
-        with self._lock:
-            try:
-                return self._challengers.pop(key)
-            except KeyError as error:
-                raise ServingError(
-                    f"cannot remove challenger for key {key}: none registered"
-                ) from error
-
-    def promote(self, key: ModelKey) -> ModelSnapshot:
-        """Atomically make the challenger's model the champion's next version.
-
-        Under one lock acquisition: the challenger's current model is
-        republished as champion version ``current + 1`` and the
-        challenger slot is retired.  Concurrent readers therefore see
-        either the old champion or the fully promoted one.  An untrained
-        (bootstrap) challenger cannot be promoted — there is no model to
-        serve.  Publish listeners fire (this *is* a champion publish).
-        """
-        with self._lock:
-            cell = self._cells.get(key)
-            champion = cell.snapshot if cell is not None else None
-            if champion is None:
-                raise ServingError(f"cannot promote unregistered key {key}")
-            challenger = self._challengers.get(key)
-            if challenger is None:
-                raise ServingError(
-                    f"no challenger registered for key {key}; nothing to promote"
-                )
-            if challenger.model is None:
-                raise ServingError(
-                    f"challenger for key {key} has not trained yet; "
-                    "refusing to promote the uniform bootstrap"
-                )
-            snapshot = ModelSnapshot(
-                version=champion.version + 1,
-                domain=champion.domain,
-                model=challenger.model,
-                trained_on=challenger.trained_on,
-            )
-            cell.snapshot = snapshot
-            del self._challengers[key]
-            listeners = tuple(self._listeners)
-        for listener in listeners:
-            listener(key, snapshot)
-        return snapshot
 
     def __repr__(self) -> str:
         with self._lock:

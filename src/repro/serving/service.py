@@ -36,7 +36,16 @@ second backend behind an already-served key.  Reads keep coming from the
 champion; a configurable fraction of the key's feedback is mirrored to
 the challenger (its own snapshot chain, refit triggers, and per-backend
 error window), and :meth:`SelectivityService.promote` atomically swaps
-the challenger's model in as the next champion version.
+the challenger's model in as the next champion version.  A challenger is
+a served model too: both roles use one slot type, which carries the
+registry it publishes to and the label its errors are recorded under, so
+installing a slot, absorbing feedback, refit-and-publish, export and the
+retired-slot re-check are written once.  Challenger snapshot chains live
+in a second, private :class:`~repro.serving.registry.EstimatorRegistry`
+with no publish listeners.  What stays role-specific is the mirror
+pipeline (stride sampling into a backlog under its own lock, so a
+challenger refit never stalls the champion's writes), ``promote``, the
+counters each role bumps, and the challenger cache scope.
 
 The batch-API contract: ``estimate_batch(table, predicates)`` returns an
 ``np.ndarray`` elementwise equal (to < 1e-9) to calling ``estimate`` per
@@ -50,7 +59,8 @@ import math
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -75,6 +85,7 @@ from repro.serving.stats import ServingStats
 __all__ = ["FastSlot", "SelectivityService"]
 
 PredicateLike = Predicate | Hyperrectangle | Region
+T = TypeVar("T")
 
 
 def _backend_name(trainer: object) -> str:
@@ -93,42 +104,54 @@ def _challenger_stats_name(trainer: object) -> str:
 
 
 class _ServedModel:
-    """Mutable per-key state: the trainer and its feedback bookkeeping."""
+    """One key's trainer in one role, champion or challenger.
 
-    __slots__ = ("key", "trainer", "lock", "pending", "errors", "retired")
+    The slot carries the registry its snapshots publish to and the label
+    its errors are recorded under, so every step of its lifecycle is
+    the same code for both roles.  The mirror fields are only fed while
+    the slot shadows a champion as its challenger.
+    """
 
-    def __init__(
-        self, key: ModelKey, trainer: TrainableBackend, error_window: int
-    ) -> None:
-        self.key = key
-        self.trainer = trainer
-        self.lock = threading.RLock()
-        self.pending = 0
-        self.errors: deque[float] = deque(maxlen=error_window)
-        # Flipped (under ``lock``) when the slot's trainer is swapped out
-        # by promote(); a writer that fetched the slot before the swap
-        # re-resolves instead of feeding a retired trainer.
-        self.retired = False
-
-
-class _ChallengerModel(_ServedModel):
-    """A shadowing backend: served-model state plus the mirror pipeline."""
-
-    __slots__ = ("shadow_frac", "mirror_lock", "backlog", "mirror_seen")
+    __slots__ = (
+        "key",
+        "trainer",
+        "registry",
+        "label",
+        "lock",
+        "pending",
+        "errors",
+        "retired",
+        "shadow_frac",
+        "mirror_lock",
+        "backlog",
+        "mirror_seen",
+    )
 
     def __init__(
         self,
         key: ModelKey,
         trainer: TrainableBackend,
+        registry: EstimatorRegistry,
+        label: str,
         error_window: int,
-        shadow_frac: float,
+        shadow_frac: float = 1.0,
     ) -> None:
-        super().__init__(key, trainer, error_window)
-        self.shadow_frac = shadow_frac
+        self.key = key
+        self.trainer = trainer
+        self.registry = registry
+        self.label = label
+        self.lock = threading.RLock()
+        self.pending = 0
+        self.errors: deque[float] = deque(maxlen=error_window)
+        # Flipped (under ``lock``) when the slot leaves its key: promote
+        # or unregister.  A caller that fetched the slot before that
+        # re-resolves instead of feeding or publishing a retired trainer.
+        self.retired = False
         # The mirror pipeline: sampled feedback lands in ``backlog``
         # under ``mirror_lock`` (never the trainer lock, so mirroring
         # cannot stall the write path behind a challenger refit) and is
-        # drained into the trainer at the next unlocked opportunity.
+        # folded into the trainer at the next unlocked opportunity.
+        self.shadow_frac = shadow_frac
         self.mirror_lock = threading.Lock()
         self.backlog: list[tuple[PredicateLike, float]] = []
         self.mirror_seen = 0
@@ -161,9 +184,11 @@ class FastSlot:
     optimizer that re-probes the same predicate objects during plan
     enumeration is answered by one unlocked dict lookup, skipping even
     the structural cache-key derivation.  The memo is correct by
-    construction — an estimate for a given snapshot never changes, and
-    the memo is discarded whenever the snapshot object does (publish,
-    promote, re-register) — and bounded at ``_MEMO_LIMIT`` entries.
+    construction — an estimate for a given snapshot never changes, the
+    memo is discarded whenever the snapshot object does (publish,
+    promote, re-register), and a call only ever inserts into the memo it
+    read beside its own snapshot — and bounded at ``_MEMO_LIMIT``
+    entries.
     """
 
     __slots__ = (
@@ -177,7 +202,6 @@ class FastSlot:
         "_pending_hits",
         "_pending_latencies",
         "_memo",
-        "_memo_snapshot",
     )
 
     _MEMO_LIMIT = 4096
@@ -202,10 +226,14 @@ class FastSlot:
         self._pending = 0
         self._pending_hits = 0
         self._pending_latencies: list[float] = []
-        # id(predicate) -> (predicate, value); the predicate is stored
-        # to pin it alive, so its id cannot be recycled while memoised.
-        self._memo: dict[int, tuple[PredicateLike, float]] = {}
-        self._memo_snapshot: ModelSnapshot | None = None
+        # (snapshot, {id(predicate): (predicate, value)}) as one
+        # attribute, read once per call: a reader that priced against an
+        # older snapshot inserts into that snapshot's dict, never into
+        # the one a later publish started.  The predicate is stored to
+        # pin it alive, so its id cannot be recycled while memoised.
+        self._memo: tuple[
+            ModelSnapshot | None, dict[int, tuple[PredicateLike, float]]
+        ] = (None, {})
 
     def snapshot(self) -> ModelSnapshot:
         """The key's current snapshot, lock-free on the happy path."""
@@ -226,10 +254,11 @@ class FastSlot:
         """One scalar estimate against the key's current snapshot."""
         start = time.perf_counter()
         snapshot = self.snapshot()
-        if snapshot is not self._memo_snapshot:
-            self._memo = {}
-            self._memo_snapshot = snapshot
-        memo_entry = self._memo.get(id(predicate))
+        memo_snapshot, memo = self._memo
+        if memo_snapshot is not snapshot:
+            memo = {}
+            self._memo = (snapshot, memo)
+        memo_entry = memo.get(id(predicate))
         if memo_entry is not None:
             value = memo_entry[1]
             hit = True
@@ -253,8 +282,8 @@ class FastSlot:
                     self._cache.put(cache_key, value)
             else:
                 value = float(snapshot.estimate(predicate))
-            if len(self._memo) < self._MEMO_LIMIT:
-                self._memo[id(predicate)] = (predicate, value)
+            if len(memo) < self._MEMO_LIMIT:
+                memo[id(predicate)] = (predicate, value)
         elapsed = time.perf_counter() - start
         if self._flush_every == 1:
             self._stats.record_estimate(elapsed, hit)
@@ -304,7 +333,12 @@ class SelectivityService:
         self._scheduler = scheduler if scheduler is not None else RefitScheduler()
         self._stats = stats if stats is not None else ServingStats()
         self._served: dict[ModelKey, _ServedModel] = {}
-        self._challengers: dict[ModelKey, _ChallengerModel] = {}
+        self._challengers: dict[ModelKey, _ServedModel] = {}
+        # Challenger snapshot chains live in a private registry with no
+        # publish listeners: the champion registry's listeners (this
+        # service's cache, a shard's replay, metrics) only ever see
+        # champion publishes.
+        self._challenger_registry = EstimatorRegistry()
         # Per-key immediate-flush slots the scalar/batch read paths
         # route through, keyed by the caller's raw ``table`` argument
         # (columns empty) or the normalised ModelKey — so repeat reads
@@ -379,38 +413,18 @@ class SelectivityService:
         """
         key = self._key(table, columns)
         trainer = as_backend(trainer)
-        # Reject duplicates before touching the trainer: re-registering a
-        # served key must not refit anything (the key's existing trainer
-        # may be mid-refit under its own lock).  The insert below
-        # re-checks under the lock for the register/register race.
-        with self._lock:
+
+        def precheck() -> None:
             if key in self._served:
                 raise ServingError(f"model key {key} is already registered")
-        # A backend carrying feedback its model has not absorbed (no model
-        # yet, or observations recorded after the last refit) is refitted
-        # first — otherwise that backlog would serve stale/uniform
-        # estimates until fresh traffic filled the refit policy's
-        # triggers.  Refitting before touching any shared state means a
-        # failed refit leaves nothing registered, so the call can simply
-        # be retried.
-        if refit_backlog and trainer.observed_count > trainer.trained_count:
-            trainer.refit()
-        fitted_on = trainer.trained_count
-        with self._lock:
-            if key in self._served:
-                raise ServingError(f"model key {key} is already registered")
-            error_window = self._error_window()
-            self._registry.register(key, trainer.domain)
-            served = _ServedModel(key, trainer, error_window)
-            served.pending = trainer.observed_count - fitted_on
-            served.errors.extend(initial_errors)  # maxlen keeps the newest
-            self._served[key] = served
-        # Same discipline as _refit: publish only under the served model's
-        # lock so an initial publish cannot interleave with a refit's.
-        with served.lock:
-            model = trainer.snapshot_model()
-            if model is not None:
-                self._registry.publish(key, model, fitted_on)
+
+        self._install(
+            self._served,
+            self._champion_slot(key, trainer),
+            precheck,
+            refit_backlog,
+            initial_errors,
+        )
         return key
 
     def unregister_model(
@@ -430,24 +444,24 @@ class SelectivityService:
         scratch.
         """
         key = self._key(table, columns)
-        with self._lock:
-            if key in self._challengers:
-                raise ServingError(
-                    f"key {key} still has a registered challenger; "
-                    "unregister or promote it before the champion"
-                )
-            try:
-                served = self._served.pop(key)
-            except KeyError as error:
-                raise ServingError(
-                    f"no trainer registered for key {key}; nothing to unregister"
-                ) from error
-        with served.lock:
+
+        def withdraw(served: _ServedModel) -> TrainableBackend:
+            with self._lock:
+                if key in self._challengers:
+                    raise ServingError(
+                        f"key {key} still has a registered challenger; "
+                        "unregister or promote it before the champion"
+                    )
+                del self._served[key]
+            served.retired = True
             self._registry.remove(key)
+            return served.trainer
+
+        trainer = self._with_slot(self._served_model, key, withdraw)
         self._purge_fast_slots(key)
         self._cache.invalidate(key)
         self._stats.forget_backend_errors(key)
-        return served.trainer
+        return trainer
 
     def key_for(
         self, table: str | ModelKey, columns: Sequence[str] = ()
@@ -470,9 +484,11 @@ class SelectivityService:
         self, table: str | ModelKey, columns: Sequence[str] = ()
     ) -> int:
         """Total observations absorbed by a key's backend (incl. unpublished)."""
-        served = self._served_model(self._key(table, columns))
-        with served.lock:
-            return served.trainer.observed_count
+        return self._with_slot(
+            self._served_model,
+            self._key(table, columns),
+            lambda served: served.trainer.observed_count,
+        )
 
     def drift_errors(
         self, table: str | ModelKey, columns: Sequence[str] = ()
@@ -483,15 +499,17 @@ class SelectivityService:
         the hand-off and replays it into the destination via
         ``register_model(initial_errors=...)``.
         """
-        served = self._served_model(self._key(table, columns))
-        with served.lock:
-            return tuple(served.errors)
+        return self._with_slot(
+            self._served_model,
+            self._key(table, columns),
+            lambda served: tuple(served.errors),
+        )
 
     def export_trainer(
         self,
         table: str | ModelKey,
         columns: Sequence[str] = (),
-        serializer: "Callable[[TrainableBackend], object] | None" = None,
+        serializer: Callable[[TrainableBackend], object] | None = None,
     ) -> object:
         """Serialise a key's live trainer *without* withdrawing it.
 
@@ -499,19 +517,23 @@ class SelectivityService:
         :meth:`unregister_model`: ``serializer`` (default
         :func:`copy.deepcopy`) runs under the served model's lock, so the
         captured trainer is internally consistent even while feedback and
-        refits race on — and the key keeps serving throughout.
+        refits race on — and the key keeps serving throughout.  A
+        promote landing between the slot lookup and the lock is
+        re-resolved, so the export is always of the current champion.
         """
-        served = self._served_model(self._key(table, columns))
         if serializer is None:
             serializer = copy.deepcopy
-        with served.lock:
-            return serializer(served.trainer)
+        return self._with_slot(
+            self._served_model,
+            self._key(table, columns),
+            lambda served: serializer(served.trainer),
+        )
 
     def export_challenger(
         self,
         table: str | ModelKey,
         columns: Sequence[str] = (),
-        serializer: "Callable[[TrainableBackend], object] | None" = None,
+        serializer: Callable[[TrainableBackend], object] | None = None,
     ) -> object:
         """Serialise a key's live challenger trainer without withdrawing it.
 
@@ -520,20 +542,16 @@ class SelectivityService:
         serialisation, so the export carries every mirrored observation
         (including those queued while a challenger refit held the lock).
         """
-        key = self._key(table, columns)
-        challenger = self._challenger_model(key)
         if serializer is None:
             serializer = copy.deepcopy
-        with challenger.lock:
-            with challenger.mirror_lock:
-                if challenger.retired:
-                    raise ServingError(
-                        f"challenger for key {key} changed during export; retry"
-                    )
-                backlog = list(challenger.backlog)
-                challenger.backlog.clear()
-            self._absorb_mirrored_locked(key, challenger, backlog)
+
+        def export(challenger: _ServedModel) -> object:
+            self._fold_backlog(challenger)
             return serializer(challenger.trainer)
+
+        return self._with_slot(
+            self._challenger_model, self._key(table, columns), export
+        )
 
     # ------------------------------------------------------------------
     # Champion/challenger lifecycle (A/B serving)
@@ -550,23 +568,25 @@ class SelectivityService:
         """Shadow a second backend behind an already-served key.
 
         The challenger gets its own versioned snapshot chain in the
-        registry (reads keep coming from the champion), receives
-        ``shadow_frac`` of the key's feedback (deterministic stride
-        sampling, so two identically fed services mirror identically),
-        accumulates its own drift/error window and refit triggers, and
-        shows up in :meth:`ServingStats.backend_errors` under its own
-        backend name next to the champion — the A/B evidence
-        :meth:`promote` acts on.  Like :meth:`register_model`,
-        ``trainer`` may be a bare estimator (wrapped via
-        :func:`~repro.estimators.backend.as_backend`) and an unabsorbed
-        feedback backlog is refitted up front unless
+        service's private challenger registry (reads keep coming from
+        the champion), receives ``shadow_frac`` of the key's feedback
+        (deterministic stride sampling, so two identically fed services
+        mirror identically), accumulates its own drift/error window and
+        refit triggers, and shows up in
+        :meth:`ServingStats.backend_errors` under its own backend name
+        next to the champion — the A/B evidence :meth:`promote` acts on.
+        It must cover the champion's domain.  Like
+        :meth:`register_model`, ``trainer`` may be a bare estimator
+        (wrapped via :func:`~repro.estimators.backend.as_backend`) and an
+        unabsorbed feedback backlog is refitted up front unless
         ``refit_backlog=False`` (migration hand-off).
         """
         key = self._key(table, columns)
         trainer = as_backend(trainer)
         if not (0.0 < shadow_frac <= 1.0):
             raise ServingError("shadow_frac must be in (0, 1]")
-        with self._lock:
+
+        def precheck() -> None:
             if key not in self._served:
                 raise ServingError(
                     f"cannot register a challenger for unserved key {key}; "
@@ -576,30 +596,22 @@ class SelectivityService:
                 raise ServingError(
                     f"key {key} already has a registered challenger"
                 )
-        if refit_backlog and trainer.observed_count > trainer.trained_count:
-            trainer.refit()
-        fitted_on = trainer.trained_count
-        with self._lock:
-            if key not in self._served:
+            if self._registry.current(key).domain != trainer.domain:
                 raise ServingError(
-                    f"cannot register a challenger for unserved key {key}"
+                    f"challenger for key {key} must cover the champion's domain"
                 )
-            if key in self._challengers:
-                raise ServingError(
-                    f"key {key} already has a registered challenger"
-                )
-            error_window = self._error_window()
-            self._registry.register_challenger(key, trainer.domain)
-            challenger = _ChallengerModel(
-                key, trainer, error_window, shadow_frac
-            )
-            challenger.pending = trainer.observed_count - fitted_on
-            challenger.errors.extend(initial_errors)
-            self._challengers[key] = challenger
-        with challenger.lock:
-            model = trainer.snapshot_model()
-            if model is not None:
-                self._registry.publish_challenger(key, model, fitted_on)
+
+        challenger = _ServedModel(
+            key,
+            trainer,
+            self._challenger_registry,
+            _challenger_stats_name(trainer),
+            self._error_window(),
+            shadow_frac,
+        )
+        self._install(
+            self._challengers, challenger, precheck, refit_backlog, initial_errors
+        )
         return key
 
     def unregister_challenger(
@@ -607,40 +619,27 @@ class SelectivityService:
     ) -> TrainableBackend:
         """Withdraw a key's challenger and hand back its backend.
 
-        Drains the mirror backlog into the challenger's trainer first,
-        then waits out an in-flight challenger refit (trainer lock), so
-        the returned backend carries every mirrored observation and can
+        Waits out an in-flight challenger refit (trainer lock), then
+        folds the mirror backlog into the challenger's trainer, so the
+        returned backend carries every mirrored observation and can
         resume shadowing on another shard.
         """
         key = self._key(table, columns)
-        challenger = self._challenger_model(key)
-        self._drain_challenger(key, challenger, blocking=True)
-        with self._lock:
-            if self._challengers.get(key) is not challenger:
-                raise ServingError(
-                    f"challenger for key {key} changed during unregister; retry"
-                )
-            del self._challengers[key]
-        with challenger.lock:
-            final_snapshot = self._registry.remove_challenger(key)
-            # A mirror racing the removal may have appended after the
-            # drain above; fold the leftovers into the departing trainer
-            # (and retire the slot under the mirror lock so no later
-            # racer can append into a backlog nobody will read), priced
-            # against the chain's final snapshot like any other mirror.
-            with challenger.mirror_lock:
-                leftovers = list(challenger.backlog)
-                challenger.backlog.clear()
-                challenger.retired = True
-            self._absorb_mirrored_locked(
-                key, challenger, leftovers, snapshot=final_snapshot
-            )
+
+        def withdraw(challenger: _ServedModel) -> _ServedModel:
+            # Retiring in the same mirror-lock hold as the fold means no
+            # racing mirror can append into a backlog nobody will read.
+            self._fold_backlog(challenger, retire=True)
+            with self._lock:
+                del self._challengers[key]
+                challenger.registry.remove(key)
+            return challenger
+
+        challenger = self._with_slot(self._challenger_model, key, withdraw)
         self._cache.invalidate(("challenger", key))
         # A later challenger for this key must start with a clean A/B
         # error window, not this one's history.
-        self._stats.forget_backend_errors(
-            key, _challenger_stats_name(challenger.trainer)
-        )
+        self._stats.forget_backend_errors(key, challenger.label)
         return challenger.trainer
 
     def has_challenger(
@@ -654,7 +653,8 @@ class SelectivityService:
         self, table: str | ModelKey, columns: Sequence[str] = ()
     ) -> ModelSnapshot:
         """The challenger's current snapshot (raises if none registered)."""
-        return self._registry.current_challenger(self._key(table, columns))
+        key = self._key(table, columns)
+        return self._challenger_model(key).registry.current(key)
 
     def challenger_shadow_frac(
         self, table: str | ModelKey, columns: Sequence[str] = ()
@@ -666,9 +666,11 @@ class SelectivityService:
         self, table: str | ModelKey, columns: Sequence[str] = ()
     ) -> tuple[float, ...]:
         """The challenger's recent served-vs-true error window, oldest first."""
-        challenger = self._challenger_model(self._key(table, columns))
-        with challenger.lock:
-            return tuple(challenger.errors)
+        return self._with_slot(
+            self._challenger_model,
+            self._key(table, columns),
+            lambda challenger: tuple(challenger.errors),
+        )
 
     def challenger_estimate(
         self,
@@ -684,9 +686,8 @@ class SelectivityService:
         backends' answers side by side.
         """
         key = self._key(table, columns)
-        snapshot = self._registry.current_challenger(key)
         value, _ = self._estimate_cached(
-            ("challenger", key), snapshot, predicate
+            ("challenger", key), self.challenger_snapshot_for(key), predicate
         )
         return value
 
@@ -696,59 +697,57 @@ class SelectivityService:
         """Atomically make the challenger the champion; returns the retiree.
 
         Under the champion's and challenger's trainer locks in one
-        critical section: the challenger's current model is republished
-        as the next champion version (registry-atomic — concurrent
-        readers see the old champion or the promoted one, never a mix),
-        the challenger's backend takes over the key's write path
-        (pending feedback, drift window, and any not-yet-drained mirror
-        backlog move with it), and the retired champion backend is
-        returned to the caller.  An untrained challenger is refused.
+        critical section: the challenger's chain is removed, its backend
+        takes over the key's write path (pending feedback, drift window,
+        and any not-yet-drained mirror backlog move with it), and its
+        current model is published as the next champion version
+        (registry-atomic — concurrent readers see the old champion or
+        the promoted one, never a mix).  The retired champion backend is
+        returned to the caller.  An untrained challenger is refused
+        before anything changes, so it keeps shadowing and can be
+        promoted once it has trained.
         """
         key = self._key(table, columns)
         served = self._served_model(key)
         challenger = self._challenger_model(key)
         with served.lock, challenger.lock:
-            with self._lock:
-                if (
-                    self._served.get(key) is not served
-                    or self._challengers.get(key) is not challenger
-                ):
-                    raise ServingError(
-                        f"key {key} changed during promote; retry"
-                    )
-            # Absorb the mirror backlog so the promoted trainer carries
-            # every mirrored observation (they stay pending toward its
-            # next refit; the *published* model is the challenger's
-            # current snapshot, promotion never retrains).  ``retired``
-            # flips inside the same mirror_lock section: a mirror that
-            # misses this drain is guaranteed to observe the flag and
-            # skip, so nothing can land in a backlog no one will read.
-            with challenger.mirror_lock:
-                backlog = list(challenger.backlog)
-                challenger.backlog.clear()
-                challenger.retired = True
-            self._absorb_mirrored_locked(key, challenger, backlog)
-            snapshot = self._registry.promote(key)
-            promoted = _ServedModel(
-                key, challenger.trainer, self._error_window()
-            )
+            if served.retired or challenger.retired:
+                raise ServingError(f"key {key} changed during promote; retry")
+            current = challenger.registry.current(key)
+            if current.model is None:
+                raise ServingError(
+                    f"challenger for key {key} has not trained yet; "
+                    "refusing to promote the uniform bootstrap"
+                )
+            # The promoted trainer carries every mirrored observation
+            # (pending toward its next refit; the *published* model is
+            # the challenger's current snapshot, promotion never
+            # retrains).  A mirror that misses this fold sees the slot
+            # retired and skips, so nothing lands in a backlog no one
+            # will read.
+            self._fold_backlog(challenger, retire=True)
+            promoted = self._champion_slot(key, challenger.trainer)
             promoted.pending = challenger.pending
             promoted.errors.extend(challenger.errors)
-            with self._lock:
-                self._served[key] = promoted
-                del self._challengers[key]
-            served.retired = True
+            # The promoted slot holds the key, under its own lock, before
+            # the publish: feedback the publish listeners replay (a
+            # shard's buffered writes) lands in the promoted trainer,
+            # and no refit of it can publish ahead of the promotion.
+            with promoted.lock:
+                with self._lock:
+                    challenger.registry.remove(key)
+                    self._served[key] = promoted
+                    del self._challengers[key]
+                served.retired = True
+                self._registry.publish(key, current.model, current.trained_on)
         self._cache.invalidate(("challenger", key))
         # Role windows end with the roles: the retiree's champion window
         # and the promoted backend's challenger-era window must not
         # contaminate future occupants of either slot — the promoted
         # backend starts a fresh champion window under its plain name.
-        self._stats.forget_backend_errors(key, _backend_name(served.trainer))
-        self._stats.forget_backend_errors(
-            key, _challenger_stats_name(challenger.trainer)
-        )
+        self._stats.forget_backend_errors(key, served.label)
+        self._stats.forget_backend_errors(key, challenger.label)
         self._stats.add("promotions")
-        assert snapshot.model is not None
         return served.trainer
 
     # ------------------------------------------------------------------
@@ -923,13 +922,11 @@ class SelectivityService:
         snapshot = self._registry.current(key)
         served_estimate, _ = self._estimate_cached(key, snapshot, predicate)
         feedback = ((predicate, selectivity, served_estimate),)
-        decision = self._absorb_into_champion(key, feedback, blocking=True)
+        decision = self._with_slot(
+            self._served_model, key, self._absorb, feedback
+        )
         self._stats.add("observations")
-        # blocking=False is load-bearing: a challenger mid-refit (a scan
-        # backend rescanning its data source can hold its trainer lock
-        # for seconds) must never stall the key's write path — the
-        # mirrored share waits in the backlog as documented.
-        self._mirror_to_challenger(key, feedback, blocking=False)
+        self._mirror_to_challenger(key, feedback)
         return self._maybe_refit(key, decision)
 
     def apply_feedback(
@@ -963,11 +960,13 @@ class SelectivityService:
         feedback = list(feedback)
         if not feedback:
             return False
-        decision = self._absorb_into_champion(key, feedback, blocking=blocking)
+        decision = self._with_slot(
+            self._served_model, key, self._absorb, feedback, blocking=blocking
+        )
         if decision is None:
             return None
         self._stats.add("observations", len(feedback))
-        self._mirror_to_challenger(key, feedback, blocking=False)
+        self._mirror_to_challenger(key, feedback)
         try:
             return self._maybe_refit(key, decision)
         except ServingError:
@@ -996,9 +995,9 @@ class SelectivityService:
         hand-off.
         """
         with self._lock:
-            challengers = dict(self._challengers)
-        for key, challenger in challengers.items():
-            self._drain_challenger(key, challenger, blocking=True)
+            keys = tuple(self._challengers)
+        for key in keys:
+            self._drain_challenger(key, blocking=True)
         self._scheduler.drain(timeout)
 
     @property
@@ -1041,64 +1040,145 @@ class SelectivityService:
         """Drift-window size every served/challenger slot is created with."""
         return max(self._policy.drift_window, self._policy.min_drift_observations)
 
-    def _absorb_into_champion(
-        self,
-        key: ModelKey,
-        feedback: Sequence[tuple[PredicateLike, float, float]],
-        blocking: bool,
-    ) -> RefitDecision | None:
-        """Feed priced observations to the champion trainer.
+    def _champion_slot(
+        self, key: ModelKey, trainer: TrainableBackend
+    ) -> _ServedModel:
+        return _ServedModel(
+            key, trainer, self._registry, _backend_name(trainer), self._error_window()
+        )
 
-        Returns the policy decision, or None when ``blocking=False`` and
-        the trainer lock was busy.  Re-resolves the served slot once if
-        a promote() retired it between lookup and lock acquisition.
+    def _install(
+        self,
+        slots: dict[ModelKey, _ServedModel],
+        slot: _ServedModel,
+        precheck: Callable[[], None],
+        refit_backlog: bool,
+        initial_errors: Sequence[float],
+    ) -> None:
+        """Put ``slot`` behind its key in ``slots`` and publish its model.
+
+        ``precheck`` raises if the role's preconditions fail.  It runs
+        under the service lock before the trainer is touched (refusing a
+        duplicate must not refit anything: the key's existing trainer may
+        be mid-refit under its own lock) and again right before the
+        insert, for the register/register race.  A backend carrying
+        feedback its model has not absorbed (no model yet, or
+        observations recorded after the last refit) is refitted first,
+        outside the locks — otherwise that backlog would serve stale or
+        uniform estimates until fresh traffic filled the refit policy's
+        triggers.  A failed refit leaves nothing registered, so the call
+        can simply be retried.
+        """
+        trainer = slot.trainer
+        with self._lock:
+            precheck()
+        if refit_backlog and trainer.observed_count > trainer.trained_count:
+            trainer.refit()
+        fitted_on = trainer.trained_count
+        with self._lock:
+            precheck()
+            slot.registry.register(slot.key, trainer.domain)
+            slot.pending = trainer.observed_count - fitted_on
+            slot.errors.extend(initial_errors)  # maxlen keeps the newest
+            slots[slot.key] = slot
+        # Publish only under the slot's lock so an initial publish cannot
+        # interleave with a refit's.
+        with slot.lock:
+            model = trainer.snapshot_model()
+            if model is not None and not slot.retired:
+                slot.registry.publish(slot.key, model, fitted_on)
+
+    def _with_slot(
+        self,
+        lookup: Callable[[ModelKey], _ServedModel | None],
+        key: ModelKey,
+        action: Callable[..., T],
+        *args: object,
+        blocking: bool = True,
+    ) -> T | None:
+        """Run ``action(slot, *args)`` under the lock of ``key``'s slot.
+
+        ``lookup`` resolves the slot in one role.  A slot retired (by a
+        promote or an unregister) between the lookup and the lock is
+        re-resolved once, so no caller feeds, exports or publishes a
+        trainer that has left its key.  Returns None without running
+        ``action`` when ``lookup`` finds no slot, or when
+        ``blocking=False`` and the lock is busy.
         """
         for _ in range(2):
-            served = self._served_model(key)
-            if not served.lock.acquire(blocking=blocking):
+            slot = lookup(key)
+            if slot is None or not slot.lock.acquire(blocking=blocking):
                 return None
             try:
-                if served.retired:
-                    continue
-                return self._absorb(served, feedback)
+                if not slot.retired:
+                    return action(slot, *args)
             finally:
-                served.lock.release()
-        raise ServingError(
-            f"served slot for key {key} kept changing; retry the write"
-        )
+                slot.lock.release()
+        raise ServingError(f"the slot for key {key} kept changing; retry")
 
     def _absorb(
         self,
-        served: _ServedModel,
+        slot: _ServedModel,
         feedback: Sequence[tuple[PredicateLike, float, float]],
     ) -> RefitDecision:
-        """Feed priced observations to the trainer; caller holds its lock."""
+        """Feed priced observations to a slot's trainer and ask the policy.
+
+        ``feedback`` holds ``(predicate, true_selectivity, estimate)``
+        triples; the caller holds the slot's lock.
+        """
         errors = [
-            abs(served_estimate - selectivity)
-            for _, selectivity, served_estimate in feedback
+            abs(estimate - selectivity)
+            for _, selectivity, estimate in feedback
         ]
-        served.trainer.observe_many(
+        slot.trainer.observe_many(
             [(predicate, selectivity) for predicate, selectivity, _ in feedback]
         )
-        served.pending += len(feedback)
-        served.errors.extend(errors)
-        name = _backend_name(served.trainer)
-        self._stats.record_backend_errors(served.key, name, errors)
+        slot.pending += len(feedback)
+        slot.errors.extend(errors)
+        self._stats.record_backend_errors(slot.key, slot.label, errors)
         lifetime_count, lifetime_mean = self._lifetime_evidence(
-            served.key, name
+            slot.key, slot.label
         )
         return self._policy.decide(
-            served.pending,
-            served.errors,
+            slot.pending,
+            slot.errors,
             lifetime_error=lifetime_mean,
             lifetime_observations=lifetime_count,
+        )
+
+    def _fold_backlog(
+        self, challenger: _ServedModel, retire: bool = False
+    ) -> RefitDecision | None:
+        """Pop the mirror backlog into the challenger's trainer.
+
+        The caller holds the trainer lock.  Each observation is priced
+        against the challenger's *current* snapshot (one vectorised
+        call), so its drift window and A/B error stats cover the same
+        share of traffic the mirror sampled, including the backlog
+        accumulated while a refit held the lock.  ``retire`` retires the
+        slot in the same mirror-lock hold as the pop.  Returns the
+        policy's decision, or None for an empty backlog.
+        """
+        with challenger.mirror_lock:
+            batch, challenger.backlog = challenger.backlog, []
+            if retire:
+                challenger.retired = True
+        if not batch:
+            return None
+        snapshot = challenger.registry.current(challenger.key)
+        estimates = snapshot.estimate_many([p for p, _ in batch])
+        return self._absorb(
+            challenger,
+            [
+                (predicate, selectivity, float(estimate))
+                for (predicate, selectivity), estimate in zip(batch, estimates)
+            ],
         )
 
     def _mirror_to_challenger(
         self,
         key: ModelKey,
         feedback: Sequence[tuple[PredicateLike, float, float]],
-        blocking: bool,
     ) -> None:
         """Offer a key's feedback to its challenger (if any).
 
@@ -1109,8 +1189,7 @@ class SelectivityService:
         key's write path.  Undrained backlog is picked up by the next
         mirror, the next challenger refit, or promote().
         """
-        with self._lock:
-            challenger = self._challengers.get(key)
+        challenger = self._challenger_if_any(key)
         if challenger is None:
             return
         frac = challenger.shadow_frac
@@ -1129,85 +1208,21 @@ class SelectivityService:
         if not taken:
             return
         self._stats.add("challenger_observations", len(taken))
-        self._drain_challenger(key, challenger, blocking=blocking)
+        # blocking=False is load-bearing: a challenger mid-refit (a scan
+        # backend rescanning its data source can hold its trainer lock
+        # for seconds) must never stall the key's write path — the
+        # mirrored share waits in the backlog as documented.
+        self._drain_challenger(key, blocking=False)
 
-    def _absorb_mirrored_locked(
-        self,
-        key: ModelKey,
-        challenger: _ChallengerModel,
-        batch: Sequence[tuple[PredicateLike, float]],
-        snapshot: ModelSnapshot | None = None,
-    ) -> None:
-        """Price and absorb mirrored feedback; caller holds the trainer lock.
+    def _drain_challenger(self, key: ModelKey, blocking: bool) -> None:
+        """Fold a key's mirror backlog in; submit a challenger refit if due.
 
-        Every mirrored observation — drained opportunistically or folded
-        in by a refit, promote, or hand-off — goes through here, so the
-        challenger's drift window and its per-backend A/B error stats
-        cover the same share of traffic the mirror sampled, including
-        the backlog accumulated while a refit held the trainer lock
-        (otherwise the A/B comparison would silently skip exactly the
-        high-load periods).  ``snapshot`` may be passed when the
-        challenger's registry entry is already gone (hand-off).
+        Silent if the key has no challenger (any more), or when
+        ``blocking=False`` and its trainer lock was busy.
         """
-        if not batch:
-            return
-        if snapshot is None:
-            try:
-                snapshot = self._registry.current_challenger(key)
-            except ServingError:
-                snapshot = None
-        if snapshot is not None:
-            estimates = snapshot.estimate_many([p for p, _ in batch])
-            errors = [
-                abs(float(estimate) - selectivity)
-                for (_, selectivity), estimate in zip(batch, estimates)
-            ]
-        else:
-            errors = []
-        challenger.trainer.observe_many(batch)
-        challenger.pending += len(batch)
-        challenger.errors.extend(errors)
-        self._stats.record_backend_errors(
-            key, _challenger_stats_name(challenger.trainer), errors
+        decision = self._with_slot(
+            self._challenger_if_any, key, self._fold_backlog, blocking=blocking
         )
-
-    def _drain_challenger(
-        self, key: ModelKey, challenger: _ChallengerModel, blocking: bool
-    ) -> bool:
-        """Move the mirror backlog into the challenger's trainer.
-
-        Prices each observation against the challenger's *current*
-        snapshot (one vectorised call) for its drift/error window, and
-        submits a challenger refit when the policy says so.  Returns
-        False when ``blocking=False`` and the trainer lock was busy.
-        """
-        if not challenger.lock.acquire(blocking=blocking):
-            return False
-        try:
-            with challenger.mirror_lock:
-                # Retired is checked *before* the backlog is popped (and
-                # is only ever set under this lock, by promote's own
-                # drain): a drain racing a promote either wins the
-                # backlog here or leaves it for promote — never pops it
-                # and then throws it away.
-                if challenger.retired:
-                    return True
-                batch = list(challenger.backlog)
-                challenger.backlog.clear()
-            if not batch:
-                return True
-            self._absorb_mirrored_locked(key, challenger, batch)
-            lifetime_count, lifetime_mean = self._lifetime_evidence(
-                key, _challenger_stats_name(challenger.trainer)
-            )
-            decision = self._policy.decide(
-                challenger.pending,
-                challenger.errors,
-                lifetime_error=lifetime_mean,
-                lifetime_observations=lifetime_count,
-            )
-        finally:
-            challenger.lock.release()
         if decision:
             try:
                 self._scheduler.submit(
@@ -1217,7 +1232,6 @@ class SelectivityService:
                 # Scheduler shut down mid-teardown; the feedback is
                 # absorbed, only the background retrain is skipped.
                 pass
-        return True
 
     def _lifetime_evidence(self, key: object, backend: str) -> tuple[int, float]:
         """The shift trigger's lifetime denominator, or nothing.
@@ -1253,15 +1267,18 @@ class SelectivityService:
                     "call register_model() first"
                 ) from error
 
-    def _challenger_model(self, key: ModelKey) -> _ChallengerModel:
+    def _challenger_if_any(self, key: ModelKey) -> _ServedModel | None:
         with self._lock:
-            try:
-                return self._challengers[key]
-            except KeyError as error:
-                raise ServingError(
-                    f"no challenger registered for key {key}; "
-                    "call register_challenger() first"
-                ) from error
+            return self._challengers.get(key)
+
+    def _challenger_model(self, key: ModelKey) -> _ServedModel:
+        challenger = self._challenger_if_any(key)
+        if challenger is None:
+            raise ServingError(
+                f"no challenger registered for key {key}; "
+                "call register_challenger() first"
+            )
+        return challenger
 
     def _cache_key(
         self, key: object, snapshot: ModelSnapshot, predicate: PredicateLike
@@ -1297,66 +1314,38 @@ class SelectivityService:
         # The publish happens under the same lock as the training so two
         # concurrent refits for one key (background worker + refit_now)
         # cannot publish out of order and leave a staler model as the
-        # highest version.  Like _absorb_into_champion, the retired flag
-        # is re-checked *under the lock* and the slot re-resolved: a
-        # promote() landing between lookup and acquisition must not let
-        # this job publish the retired trainer's model over the freshly
-        # promoted one.
-        for _ in range(2):
-            served = self._served_model(key)
-            with served.lock:
-                if served.retired:
-                    continue
-                self._refit_locked(key, served)
-                self._stats.add("refits_completed")
-                return
-        raise ServingError(
-            f"served slot for key {key} kept changing; retry the refit"
-        )
-
-    def _refit_locked(self, key: ModelKey, served: _ServedModel) -> None:
-        served.trainer.refit()
-        model = served.trainer.snapshot_model()
-        if model is None:
-            raise ServingError(
-                f"backend {_backend_name(served.trainer)} produced no model "
-                f"after refit for key {key}"
-            )
-        served.pending = 0
-        served.errors.clear()
-        self._registry.publish(key, model, served.trainer.trained_count)
+        # highest version; a promote landing between lookup and lock
+        # must not let this job publish the retired trainer's model over
+        # the freshly promoted one (_with_slot re-resolves).
+        self._with_slot(self._served_model, key, self._refit_locked)
+        self._stats.add("refits_completed")
 
     def _refit_challenger(self, key: ModelKey) -> None:
         """Background retrain of a key's challenger; silent if it left."""
-        with self._lock:
-            challenger = self._challengers.get(key)
-        if challenger is None:
+
+        def refit(challenger: _ServedModel) -> ModelSnapshot:
+            # Train on everything mirrored, including backlog the
+            # non-blocking mirror path left behind.
+            self._fold_backlog(challenger)
+            return self._refit_locked(challenger)
+
+        if self._with_slot(self._challenger_if_any, key, refit) is None:
             return
-        with challenger.lock:
-            if challenger.retired or not self._registry.has_challenger(key):
-                return
-            # Fold in any backlog the non-blocking mirror path left
-            # behind; this refit should train on everything mirrored,
-            # and the fold is priced like any drain so the A/B error
-            # stats cover the backlog too.
-            with challenger.mirror_lock:
-                backlog = list(challenger.backlog)
-                challenger.backlog.clear()
-            self._absorb_mirrored_locked(key, challenger, backlog)
-            challenger.trainer.refit()
-            model = challenger.trainer.snapshot_model()
-            if model is None:
-                raise ServingError(
-                    f"challenger backend {_backend_name(challenger.trainer)} "
-                    f"produced no model after refit for key {key}"
-                )
-            challenger.pending = 0
-            challenger.errors.clear()
-            self._registry.publish_challenger(
-                key, model, challenger.trainer.trained_count
-            )
         self._cache.invalidate(("challenger", key))
         self._stats.add("challenger_refits")
+
+    def _refit_locked(self, slot: _ServedModel) -> ModelSnapshot:
+        """Retrain a slot's trainer and publish; caller holds its lock."""
+        slot.trainer.refit()
+        model = slot.trainer.snapshot_model()
+        if model is None:
+            raise ServingError(
+                f"backend {slot.label} produced no model after refit "
+                f"for key {slot.key}"
+            )
+        slot.pending = 0
+        slot.errors.clear()
+        return slot.registry.publish(slot.key, model, slot.trainer.trained_count)
 
     def _on_publish(self, key: ModelKey, snapshot: ModelSnapshot) -> None:
         # Version-scoped keys already guarantee correctness; eager

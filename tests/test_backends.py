@@ -28,8 +28,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import QuickSelConfig
+from repro.core.geometry import Hyperrectangle
 from repro.core.quicksel import QuickSel
-from repro.cluster import ShardedSelectivityService
+from repro.cluster import (
+    BufferedObservation,
+    ShardedSelectivityService,
+    ShardWorker,
+)
 from repro.estimators import (
     AutoHist,
     AutoSample,
@@ -416,6 +421,31 @@ class TestCacheTTL:
 # ----------------------------------------------------------------------
 # Champion/challenger A/B serving
 # ----------------------------------------------------------------------
+class _PromoteBeforeFirstAcquire:
+    """A trainer lock that runs ``promote`` just before its first acquire,
+    so a caller that already looked up the slot finds it retired."""
+
+    def __init__(self, lock, promote) -> None:
+        self._lock = lock
+        self._promote = promote
+
+    def acquire(self, blocking=True, timeout=-1):
+        promote, self._promote = self._promote, None
+        if promote is not None:
+            promote()
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
 class TestChampionChallenger:
     def _ab_service(self, make_service, world, shadow_frac=1.0, min_new=16):
         dataset, feedback, _ = world
@@ -539,6 +569,49 @@ class TestChampionChallenger:
         service.register_challenger(key, STHoles(dataset.domain))
         with pytest.raises(ServingError, match="not trained"):
             service.promote(key)
+        service.close()
+
+    def test_refused_promote_keeps_the_challenger_shadowing(self, world, make_service):
+        """Refusing an untrained challenger changes nothing: it keeps
+        taking mirrored feedback, refits, exports and can be promoted."""
+        dataset, feedback, _ = world
+        service, key = self._ab_service(make_service, world, min_new=8)
+        with pytest.raises(ServingError, match="not trained"):
+            service.promote(key)
+        for predicate, selectivity in feedback[:24]:
+            service.observe(key, predicate, selectivity)
+        assert service.stats.challenger_observations == 24
+        assert service.challenger_snapshot_for(key).version >= 1
+        assert service.export_challenger(key).observed_count == 24
+        service.promote(key)
+        assert not service.has_challenger(key)
+        service.close()
+
+    def test_export_after_a_racing_promote_returns_the_promoted_trainer(
+        self, world, make_service
+    ):
+        dataset, feedback, _ = world
+        service, key = self._ab_service(make_service, world)
+        for predicate, selectivity in feedback[:48]:
+            service.observe(key, predicate, selectivity)
+        promoted = service._challengers[key].trainer
+        champion = service._served[key]
+        champion.lock = _PromoteBeforeFirstAcquire(
+            champion.lock, lambda: service.promote(key)
+        )
+        assert service.export_trainer(key, serializer=lambda t: t) is promoted
+        assert service.stats.promotions == 1
+        service.close()
+
+    def test_challenger_over_a_different_domain_is_refused(self, world, make_service):
+        dataset, _, _ = world
+        service = make_service()
+        key = service.register_model(
+            "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
+        )
+        with pytest.raises(ServingError, match="domain"):
+            service.register_challenger(key, STHoles(Hyperrectangle.unit(3)))
+        assert not service.has_challenger(key)
         service.close()
 
     def test_unregister_champion_refused_while_challenger_lives(self, world, make_service):
@@ -753,3 +826,34 @@ class TestClusterBackends:
             assert cluster.fleet_stats()["aggregate"]["promotions"] == 1
         finally:
             cluster.close()
+
+    def test_promote_replays_buffered_writes_into_the_promoted_trainer(self, world):
+        """A write the shard buffered while promote held the trainer lock
+        is replayed by the promote's publish into the new champion, so
+        no acknowledged write is lost."""
+        dataset, feedback, _ = world
+        worker = ShardWorker(
+            "s", policy=RefitPolicy(min_new_observations=16), scheduler_mode="inline"
+        )
+        try:
+            key = worker.register_model(
+                "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
+            )
+            worker.register_challenger(key, STHoles(dataset.domain, max_buckets=300))
+            for predicate, selectivity in feedback[:48]:
+                worker.observe(key, predicate, selectivity)
+            predicate, selectivity = feedback[48]
+            worker.buffer.append(
+                key,
+                BufferedObservation(
+                    predicate,
+                    selectivity,
+                    worker.service.current_estimate(key, predicate),
+                ),
+            )
+            assert worker.feedback_count(key) == 49
+            worker.promote(key)
+            assert worker.buffer.pending(key) == 0
+            assert worker.feedback_count(key) == 49
+        finally:
+            worker.close()

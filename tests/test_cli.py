@@ -40,10 +40,24 @@ class TestMain:
         captured = capsys.readouterr()
         assert "Figure 6" in captured.out
 
-    def test_table3_report(self):
+    def test_table3_report(self, monkeypatch):
+        """``main`` wires the flags into ``run_table3`` and returns its
+        rendered report; the experiment itself runs in
+        ``test_experiments.py::TestExperimentRuns::test_table3``."""
+        calls = []
+
+        class _Result:
+            def render(self) -> str:
+                return "Table 3a ... Table 3b"
+
+        def run_table3(**kwargs):
+            calls.append(kwargs)
+            return _Result()
+
+        monkeypatch.setattr("repro.experiments.cli.run_table3", run_table3)
         report = main(["table3", "--scale", "small", "--rows", "5000"])
-        assert "Table 3a" in report
-        assert "Table 3b" in report
+        assert calls == [{"scale": "small", "row_count": 5000}]
+        assert report == "Table 3a ... Table 3b"
 
 
 class TestServeCommands:

@@ -51,10 +51,12 @@ from repro.serving import (
     EstimateCache,
     FrequencySketch,
     ModelKey,
+    RefitPolicy,
     RefitScheduler,
     SelectivityService,
 )
 from repro.serving.cache import _model_key_of
+from repro.serving.snapshot import ModelSnapshot
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
 
@@ -588,3 +590,43 @@ class TestFastSlot:
             slot.estimate(predicates[0])
         service.register_model("t", trainer)
         assert slot.estimate(predicates[0]) == pytest.approx(first, abs=1e-9)
+
+    def test_memo_never_serves_a_value_from_before_a_publish(
+        self, make_service, monkeypatch
+    ):
+        """A reader still pricing against the old snapshot when a publish
+        lands must not seed the new snapshot's memo with its old value."""
+        dataset = gaussian_dataset(2_000, dimension=2, correlation=0.2, seed=31)
+        generator = RandomRangeQueryGenerator(dataset.domain, seed=32)
+        feedback = labelled_feedback(generator.generate(60), dataset.rows)
+        trained = QuickSel(dataset.domain, QuickSelConfig(random_seed=2))
+        trained.observe_many(feedback[:30], refit=True)
+        service = make_service(policy=RefitPolicy(min_new_observations=10_000))
+        service.register_model("t", trained)
+        slot = service.fast_slot("t", flush_every=1)
+        held, other = generator.generate(2)
+        old = service.snapshot_for("t")
+        entered, release = threading.Event(), threading.Event()
+        estimate = ModelSnapshot.estimate
+
+        def held_inside_old_version(snapshot, predicate):
+            if snapshot is old and predicate is held:
+                entered.set()
+                release.wait(timeout=10.0)
+            return estimate(snapshot, predicate)
+
+        monkeypatch.setattr(ModelSnapshot, "estimate", held_inside_old_version)
+        reader = threading.Thread(target=slot.estimate, args=(held,))
+        reader.start()
+        assert entered.wait(timeout=10.0)
+        for predicate, selectivity in feedback[30:]:
+            service.observe("t", predicate, selectivity)
+        current = service.refit_now("t")
+        slot.estimate(other)  # the first read of the new snapshot
+        release.set()
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert current.version == old.version + 1
+        expected = estimate(current, held)
+        assert abs(expected - estimate(old, held)) > 1e-6
+        assert slot.estimate(held) == pytest.approx(expected, abs=1e-12)

@@ -13,6 +13,7 @@ import copy
 import os
 import random
 import signal
+import threading
 import time
 
 import numpy as np
@@ -1001,12 +1002,20 @@ class TestProcessFaults:
         )
         server.start()
         client = connect(*server.address)
+        # "respawned" is emitted only after the gateway is repointed and
+        # the journal resynced, so waiting for it (not for the restart
+        # count, bumped before the repoint) orders the checks below
+        # after the resync.
+        respawned = threading.Event()
         supervisor = FleetSupervisor(
             gateway=server,
             poll_interval=0.05,
             backoff_base=0.05,
             backoff_cap=0.5,
             stable_seconds=30.0,
+            on_event=lambda event: (
+                respawned.set() if event["event"] == "respawned" else None
+            ),
         )
         supervisor.manage(process, spawn, name="w1")
         supervisor.start()
@@ -1017,11 +1026,7 @@ class TestProcessFaults:
             expected = client.estimate_batch("orders", probes)
             assert client.feedback_count("orders") == 58
             process.kill()  # SIGKILL mid-service
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if supervisor.status()["w1"]["restarts"] >= 1:
-                    break
-                time.sleep(0.05)
+            respawned.wait(timeout=60.0)
             assert supervisor.status()["w1"]["restarts"] >= 1
             # The respawned child restored its checkpoints and the
             # supervisor resynced the journal: exact state, no loss.

@@ -28,7 +28,9 @@ from repro.exceptions import (
     RemoteError,
     ServingError,
 )
+from repro.net.gateway import GatewayServer
 from repro.net.protocol import (
+    IDEMPOTENT_READS,
     MAX_FRAME_BYTES,
     Request,
     Response,
@@ -45,6 +47,7 @@ from repro.net.protocol import (
     recv_message,
     send_message,
 )
+from repro.net.worker import WorkerServer
 from repro.serving.snapshot import ModelSnapshot
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
@@ -166,6 +169,18 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # Error mapping
 # ----------------------------------------------------------------------
+class TestRetryAllowlist:
+    def test_every_idempotent_read_names_a_live_method(self):
+        """The retry allowlist cannot outlive the methods it names."""
+        stale = {
+            name
+            for name in IDEMPOTENT_READS
+            if name not in GatewayServer.METHODS
+            and not hasattr(WorkerServer, f"_do_{name}")
+        }
+        assert not stale
+
+
 class TestErrorMapping:
     def test_repro_errors_come_back_typed(self):
         response = error_response(5, ServingError("unknown model key"))
