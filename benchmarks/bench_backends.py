@@ -18,7 +18,7 @@ Measures the claims the backend-agnostic serving refactor makes:
    (<= 1e-9) — the batch path never changes an answer, for any backend.
 4. **Accuracy-per-parameter.** Per-backend mean relative error (the
    paper's metric), mean |error|, and parameter counts on the shared
-   workload land in the JSON for the A/B story.
+   workload land in the JSON side by side.
 
 Runs two ways:
 

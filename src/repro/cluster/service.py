@@ -123,7 +123,7 @@ class ShardedSelectivityService:
         ``aggregate`` sums the shards' counters with the true hit rate
         and merged latency percentiles, ``per_shard`` is the same fold
         per shard, and ``backend_errors`` is the fleet-wide
-        ``{model key: {backend: mean |error|}}`` A/B view.
+        ``{model key: {backend: mean |error|}}`` view.
         """
         with self._lock:
             workers = dict(self._workers)
@@ -185,86 +185,6 @@ class ShardedSelectivityService:
             worker = self._workers[self._router.route(key)]
             worker.register_model(key, trainer)
         return key
-
-    def register_challenger(
-        self,
-        table: str | ModelKey,
-        trainer: TrainableBackend,
-        columns: Sequence[str] = (),
-        shadow_frac: float = 1.0,
-    ) -> ModelKey:
-        """Shadow a challenger backend behind a served key's shard.
-
-        The challenger lives on whichever shard serves the key (and
-        migrates with it on resize); feedback mirroring happens inside
-        the shard's service, so the cluster's non-blocking write path is
-        unchanged.  Registered under the routing lock for the same
-        membership-race reason as :meth:`register_model`.
-        """
-        key = normalize_key(table, columns)
-        trainer = as_backend(trainer)
-        # Validate the cheap preconditions before the backlog refit — a
-        # scan backend's refit is a full data rescan, too expensive to
-        # spend on a call the shard is about to reject anyway.  The
-        # shard's own register_challenger stays the authority (the key
-        # could migrate between this check and the registration).
-        if not (0.0 < shadow_frac <= 1.0):
-            raise ServingError("shadow_frac must be in (0, 1]")
-        with self._lock:
-            self._ensure_open()
-            worker = self._workers[self._router.route(key)]
-            if key not in worker.model_keys():
-                raise ServingError(
-                    f"cannot register a challenger for unserved key {key}; "
-                    "register the champion first"
-                )
-            if worker.has_challenger(key):
-                raise ServingError(
-                    f"key {key} already has a registered challenger"
-                )
-        if trainer.observed_count > trainer.trained_count:
-            trainer.refit()
-        with self._lock:
-            self._ensure_open()
-            worker = self._workers[self._router.route(key)]
-            worker.register_challenger(key, trainer, shadow_frac=shadow_frac)
-        return key
-
-    def promote(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> TrainableBackend:
-        """Atomically promote a key's challenger on its shard; returns the
-        retired champion backend."""
-        key = normalize_key(table, columns)
-        return self._with_worker(key, lambda worker: worker.promote(key))
-
-    def has_challenger(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bool:
-        """True if the key currently shadows a challenger somewhere."""
-        key = normalize_key(table, columns)
-        return self._with_worker(key, lambda worker: worker.has_challenger(key))
-
-    def challenger_snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
-        """The challenger snapshot shadowing a key, wherever it lives."""
-        key = normalize_key(table, columns)
-        return self._with_worker(
-            key, lambda worker: worker.challenger_snapshot_for(key)
-        )
-
-    def challenger_estimate(
-        self,
-        table: str | ModelKey,
-        predicate: object,
-        columns: Sequence[str] = (),
-    ) -> float:
-        """What the key's challenger would have served (off the books)."""
-        key = normalize_key(table, columns)
-        return self._with_worker(
-            key, lambda worker: worker.challenger_estimate(key, predicate)
-        )
 
     def key_for(
         self, table: str | ModelKey, columns: Sequence[str] = ()

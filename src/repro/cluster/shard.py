@@ -61,14 +61,19 @@ __all__ = ["KeyState", "ShardWorker"]
 class KeyState(TypedDict):
     """One key's complete serving state, as a plain dict.
 
-    ``trainer`` and ``challenger`` hold the backends as the exporting
-    codec left them: the live objects in process, bytes on the wire and
-    on disk.  ``feedback_count`` is how many observations the champion
-    trainer had absorbed when the state was taken.  The drift windows,
-    the per-backend A/B error windows and the lifetime error totals
-    carry the evidence the refit triggers and a later promote rely on.
-    ``leftovers`` are observations a withdrawing export found still
-    buffered; a state without them (a checkpoint) installs too.
+    ``trainer`` holds the backend as the exporting codec left it: the
+    live object in process, bytes on the wire and on disk.
+    ``feedback_count`` is how many observations the trainer had absorbed
+    when the state was taken.  The drift window, the per-backend error
+    windows and the lifetime error totals carry the evidence the refit
+    triggers rely on.  ``leftovers`` are observations a withdrawing
+    export found still buffered; a state without them (a checkpoint)
+    installs too.
+
+    Checkpoint files written before the challenger role was removed also
+    carry ``challenger``, ``challenger_errors`` and ``shadow_frac``;
+    :meth:`ShardWorker.install_state` reads only the fields above, so
+    those are ignored.
     """
 
     key: ModelKey
@@ -77,9 +82,6 @@ class KeyState(TypedDict):
     drift_errors: tuple[float, ...]
     backend_windows: dict[str, tuple[float, ...]]
     lifetime_totals: dict[tuple[str, str], tuple[int, float]]
-    challenger: object | None
-    challenger_errors: tuple[float, ...]
-    shadow_frac: float
     leftovers: tuple[BufferedObservation, ...]
 
 
@@ -205,45 +207,6 @@ class ShardWorker:
             slot.flush()
         return self._service.unregister_model(key)
 
-    def register_challenger(
-        self,
-        table: str | ModelKey,
-        trainer: TrainableBackend,
-        columns: Sequence[str] = (),
-        shadow_frac: float = 1.0,
-        refit_backlog: bool = True,
-        initial_errors: Sequence[float] = (),
-    ) -> ModelKey:
-        """Shadow a challenger backend behind a key served by this shard."""
-        return self._service.register_challenger(
-            table,
-            trainer,
-            columns=columns,
-            shadow_frac=shadow_frac,
-            refit_backlog=refit_backlog,
-            initial_errors=initial_errors,
-        )
-
-    def unregister_challenger(self, key: ModelKey) -> TrainableBackend:
-        """Hand off a key's challenger backend (migration)."""
-        return self._service.unregister_challenger(key)
-
-    def has_challenger(self, key: ModelKey) -> bool:
-        """True if the key shadows a challenger on this shard."""
-        return self._service.has_challenger(key)
-
-    def challenger_snapshot_for(self, key: ModelKey) -> ModelSnapshot:
-        """The challenger snapshot currently shadowing a key."""
-        return self._service.challenger_snapshot_for(key)
-
-    def promote(self, key: ModelKey) -> TrainableBackend:
-        """Atomically promote the key's challenger; returns the retiree."""
-        return self._service.promote(key)
-
-    def challenger_estimate(self, key: ModelKey, predicate: object) -> float:
-        """What the key's challenger would have served (off the books)."""
-        return self._service.challenger_estimate(key, predicate)
-
     def model_keys(self) -> Sequence[ModelKey]:
         """The keys this shard currently serves."""
         return self._service.model_keys()
@@ -267,18 +230,16 @@ class ShardWorker:
         withdraw: bool,
         encode: Callable[[TrainableBackend], object] = _identity,
     ) -> KeyState:
-        """Capture a key's full state, encoding each trainer with ``encode``.
+        """Capture a key's full state, encoding its trainer with ``encode``.
 
         The key's buffered feedback is flushed into its trainer first,
-        and the challenger's mirror backlog is folded into the
-        challenger's trainer under its lock, so the state carries every
-        observation this shard accepted.  With ``withdraw`` the key
-        leaves the shard: in-flight refits publish first (a move carries
-        the exact snapshot being served), then the challenger and the
-        champion are unregistered and raced buffer leftovers are taken
-        along.  Without it (a checkpoint) the key keeps serving and each
-        trainer is encoded under its lock; with the identity codec the
-        state then shares the live trainers.
+        so the state carries every observation this shard accepted.
+        With ``withdraw`` the key leaves the shard: in-flight refits
+        publish first (a move carries the exact snapshot being served),
+        then the key is unregistered and raced buffer leftovers are
+        taken along.  Without it (a checkpoint) the key keeps serving
+        and the trainer is encoded under its lock; with the identity
+        codec the state then shares the live trainer.
         """
         self.flush(key, blocking=True)
         service = self._service
@@ -303,21 +264,8 @@ class ShardWorker:
                 in stats.lifetime_error_totals().items()
                 if model == scope
             },
-            "challenger": None,
-            "challenger_errors": (),
-            "shadow_frac": 1.0,
             "leftovers": (),
         }
-        # An A/B pair moves as a pair: the service refuses to withdraw
-        # a champion that still has a challenger, so it goes first.
-        if self.has_challenger(key):
-            state["challenger_errors"] = service.challenger_drift_errors(key)
-            state["shadow_frac"] = service.challenger_shadow_frac(key)
-            state["challenger"] = (
-                encode(self.unregister_challenger(key))
-                if withdraw
-                else service.export_challenger(key, serializer=encode)
-            )
         if withdraw:
             state["trainer"] = encode(self.unregister_model(key))
             state["leftovers"] = tuple(self._buffer.discard(key))
@@ -331,7 +279,7 @@ class ShardWorker:
         *,
         decode: Callable[[object], TrainableBackend] = _identity,
     ) -> ModelKey:
-        """Serve an exported key here, decoding each trainer with ``decode``.
+        """Serve an exported key here, decoding its trainer with ``decode``.
 
         ``refit_backlog=False`` republishes the exact model the state
         captured: a move or a restore never retrains, and unabsorbed
@@ -347,14 +295,6 @@ class ShardWorker:
             refit_backlog=False,
             initial_errors=state["drift_errors"],
         )
-        if state["challenger"] is not None:
-            self.register_challenger(
-                key,
-                decode(state["challenger"]),
-                shadow_frac=state["shadow_frac"],
-                refit_backlog=False,
-                initial_errors=state["challenger_errors"],
-            )
         stats = self.stats
         for backend, window in state["backend_windows"].items():
             stats.record_backend_errors(key, backend, window)

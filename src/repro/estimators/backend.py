@@ -24,8 +24,8 @@ objects around.  This module is the seam that removes that coupling:
   (:class:`~repro.estimators.base.QueryDrivenEstimator` /
   :class:`~repro.estimators.base.ScanBasedEstimator`) to the protocol,
   so ST-Holes, ISOMER, the query-model, AutoHist, AutoSample, and KDE
-  can all be registered, served, migrated between shards, and A/B'd
-  against QuickSel behind the same snapshot/version discipline.
+  can all be registered, served and migrated between shards behind the
+  same snapshot/version discipline as QuickSel.
 
 The mutable-trainer / immutable-snapshot split the serving layer relies
 on is preserved by construction: adapters hand out a *frozen deep copy*
@@ -271,8 +271,8 @@ class ScanBackend:
         """Count one observation toward the rescan trigger.
 
         Validated eagerly like the query-driven adapters: the value is
-        never trained on, but it prices the drift window and the A/B
-        error stats, so garbage must fail at the call site.
+        never trained on, but it prices the drift window and the
+        per-backend error stats, so garbage must fail at the call site.
         """
         if not (0.0 <= selectivity <= 1.0):
             raise EstimatorError("selectivity must be in [0, 1]")

@@ -67,8 +67,8 @@ def register_join_model(
     """Register a fresh QuickSel join model under the join's model key.
 
     The model's domain is the joint (concatenated) domain; from here on
-    it is an ordinary served model — hot-swap, challengers, windowed
-    training, shard routing and the wire protocol all apply unchanged.
+    it is an ordinary served model — hot-swap, windowed training, shard
+    routing and the wire protocol all apply unchanged.
     ``left_domain``/``right_domain`` follow the spec's side order.
     """
     from repro.core.quicksel import QuickSel

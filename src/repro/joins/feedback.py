@@ -6,8 +6,7 @@ executor's join listeners and routes each executed join's observed
 cross-product selectivity to the :class:`SandwichedJoinEstimator`
 registered for that join key — which forwards it to the served join
 model as ordinary ``(joint predicate, selectivity)`` feedback, behind
-the same refit policy, windowed training, and challenger mirroring as
-any single-table model.
+the same refit policy and windowed training as any single-table model.
 
 Orientation is handled here: a ``JoinQuery`` may name the sides in
 either order; the loop matches it to the registered estimator by the

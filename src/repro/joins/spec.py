@@ -3,9 +3,9 @@
 A learned join model covers one equi-join ``left.key = right.key``.  Its
 serving identity is an ordinary :class:`~repro.serving.registry.ModelKey`
 whose table component spells the join — ``"orders.user_id⋈users.id"`` —
-so every layer built for single-table models (versioned snapshots, A/B
-challengers, shard routing, the wire protocol) serves join models with
-zero new surface: a join key is just another model key.
+so every layer built for single-table models (versioned snapshots,
+shard routing, the wire protocol) serves join models with zero new
+surface: a join key is just another model key.
 
 Two conventions make that possible:
 

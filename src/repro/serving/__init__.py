@@ -23,9 +23,8 @@ The stack is generic over the
 :class:`~repro.estimators.backend.TrainableBackend` protocol: any
 estimator with ``observe_many``/``refit``/``snapshot_model`` — QuickSel
 natively, the adapted query-driven and scan-based baselines — serves
-behind the same snapshot/version discipline, and champion/challenger
-A/B serving (``register_challenger`` / ``promote``) compares backends
-under live traffic with per-backend error stats.
+behind the same snapshot/version discipline, with per-backend error
+stats.
 
 Batch-API contract: ``estimate_batch`` answers every predicate from one
 snapshot version and matches per-predicate ``estimate`` to < 1e-9.

@@ -29,23 +29,9 @@ The service is generic over the
 ``register_model`` accepts QuickSel, any adapted baseline estimator
 (ST-Holes, ISOMER, AutoHist, …), or a bare query-driven/scan-based
 estimator (coerced via :func:`~repro.estimators.backend.as_backend`) —
-all behind the same snapshot/version discipline.
-
-A/B serving: :meth:`SelectivityService.register_challenger` installs a
-second backend behind an already-served key.  Reads keep coming from the
-champion; a configurable fraction of the key's feedback is mirrored to
-the challenger (its own snapshot chain, refit triggers, and per-backend
-error window), and :meth:`SelectivityService.promote` atomically swaps
-the challenger's model in as the next champion version.  A challenger is
-a served model too: both roles use one slot type, which carries the
-registry it publishes to and the label its errors are recorded under, so
-installing a slot, absorbing feedback, refit-and-publish, export and the
-retired-slot re-check are written once.  Challenger snapshot chains live
-in a second, private :class:`~repro.serving.registry.EstimatorRegistry`
-with no publish listeners.  What stays role-specific is the mirror
-pipeline (stride sampling into a backlog under its own lock, so a
-challenger refit never stalls the champion's writes), ``promote``, the
-counters each role bumps, and the challenger cache scope.
+all behind the same snapshot/version discipline.  Each served key has
+exactly one trainer; its writes, refits, exports and unregister all run
+under that trainer's lock.
 
 The batch-API contract: ``estimate_batch(table, predicates)`` returns an
 ``np.ndarray`` elementwise equal (to < 1e-9) to calling ``estimate`` per
@@ -55,7 +41,6 @@ predicate against the *same* snapshot version, in input order.
 from __future__ import annotations
 
 import copy
-import math
 import threading
 import time
 from collections import deque
@@ -92,69 +77,38 @@ def _backend_name(trainer: object) -> str:
     return getattr(trainer, "name", None) or type(trainer).__name__
 
 
-def _challenger_stats_name(trainer: object) -> str:
-    """The stats label a challenger's errors are recorded under.
-
-    Role-suffixed so an A/B of two same-named backends (QuickSel config
-    A vs QuickSel config B) still yields two distinct error windows —
-    without the suffix the comparison the promote decision rests on
-    would collapse into one merged window.
-    """
-    return f"{_backend_name(trainer)}@challenger"
-
-
 class _ServedModel:
-    """One key's trainer in one role, champion or challenger.
+    """One key's trainer, plus the write-path state kept beside it.
 
-    The slot carries the registry its snapshots publish to and the label
-    its errors are recorded under, so every step of its lifecycle is
-    the same code for both roles.  The mirror fields are only fed while
-    the slot shadows a champion as its challenger.
+    ``label`` is the backend name the key's errors are recorded under.
     """
 
     __slots__ = (
         "key",
         "trainer",
-        "registry",
         "label",
         "lock",
         "pending",
         "errors",
         "retired",
-        "shadow_frac",
-        "mirror_lock",
-        "backlog",
-        "mirror_seen",
     )
 
     def __init__(
         self,
         key: ModelKey,
         trainer: TrainableBackend,
-        registry: EstimatorRegistry,
-        label: str,
         error_window: int,
-        shadow_frac: float = 1.0,
     ) -> None:
         self.key = key
         self.trainer = trainer
-        self.registry = registry
-        self.label = label
+        self.label = _backend_name(trainer)
         self.lock = threading.RLock()
         self.pending = 0
         self.errors: deque[float] = deque(maxlen=error_window)
-        # Flipped (under ``lock``) when the slot leaves its key: promote
-        # or unregister.  A caller that fetched the slot before that
+        # Flipped (under ``lock``) when the slot leaves its key on
+        # unregister.  A caller that fetched the slot before that
         # re-resolves instead of feeding or publishing a retired trainer.
         self.retired = False
-        # The mirror pipeline: sampled feedback lands in ``backlog``
-        # under ``mirror_lock`` (never the trainer lock, so mirroring
-        # cannot stall the write path behind a challenger refit) and is
-        # folded into the trainer at the next unlocked opportunity.
-        self.shadow_frac = shadow_frac
-        self.mirror_lock = threading.Lock()
-        self.backlog: list[tuple[PredicateLike, float]] = []
-        self.mirror_seen = 0
 
 
 class FastSlot:
@@ -186,7 +140,7 @@ class FastSlot:
     the structural cache-key derivation.  The memo is correct by
     construction — an estimate for a given snapshot never changes, the
     memo is discarded whenever the snapshot object does (publish,
-    promote, re-register), and a call only ever inserts into the memo it
+    re-register), and a call only ever inserts into the memo it
     read beside its own snapshot — and bounded at ``_MEMO_LIMIT``
     entries.
     """
@@ -333,12 +287,6 @@ class SelectivityService:
         self._scheduler = scheduler if scheduler is not None else RefitScheduler()
         self._stats = stats if stats is not None else ServingStats()
         self._served: dict[ModelKey, _ServedModel] = {}
-        self._challengers: dict[ModelKey, _ServedModel] = {}
-        # Challenger snapshot chains live in a private registry with no
-        # publish listeners: the champion registry's listeners (this
-        # service's cache, a shard's replay, metrics) only ever see
-        # champion publishes.
-        self._challenger_registry = EstimatorRegistry()
         # Per-key immediate-flush slots the scalar/batch read paths
         # route through, keyed by the caller's raw ``table`` argument
         # (columns empty) or the normalised ModelKey — so repeat reads
@@ -412,16 +360,9 @@ class SelectivityService:
         query away after it moves (see :meth:`drift_errors`).
         """
         key = self._key(table, columns)
-        trainer = as_backend(trainer)
-
-        def precheck() -> None:
-            if key in self._served:
-                raise ServingError(f"model key {key} is already registered")
-
+        window = max(self._policy.drift_window, self._policy.min_drift_observations)
         self._install(
-            self._served,
-            self._champion_slot(key, trainer),
-            precheck,
+            _ServedModel(key, as_backend(trainer), window),
             refit_backlog,
             initial_errors,
         )
@@ -436,28 +377,20 @@ class SelectivityService:
         trainer lock) before removing the registry snapshot, so the
         hand-off never races a publish.  A refit still *queued* on the
         scheduler when the key leaves fails harmlessly there; callers
-        that care should :meth:`drain` first.  A key still carrying a
-        challenger is refused — withdraw or promote it first (see
-        :meth:`unregister_challenger`) so an A/B pair never splits
-        silently.  The returned backend carries all absorbed feedback
-        and can be re-registered elsewhere without retraining from
-        scratch.
+        that care should :meth:`drain` first.  The returned backend
+        carries all absorbed feedback and can be re-registered elsewhere
+        without retraining from scratch.
         """
         key = self._key(table, columns)
 
         def withdraw(served: _ServedModel) -> TrainableBackend:
             with self._lock:
-                if key in self._challengers:
-                    raise ServingError(
-                        f"key {key} still has a registered challenger; "
-                        "unregister or promote it before the champion"
-                    )
                 del self._served[key]
             served.retired = True
             self._registry.remove(key)
             return served.trainer
 
-        trainer = self._with_slot(self._served_model, key, withdraw)
+        trainer = self._with_slot(key, withdraw)
         self._purge_fast_slots(key)
         self._cache.invalidate(key)
         self._stats.forget_backend_errors(key)
@@ -485,7 +418,6 @@ class SelectivityService:
     ) -> int:
         """Total observations absorbed by a key's backend (incl. unpublished)."""
         return self._with_slot(
-            self._served_model,
             self._key(table, columns),
             lambda served: served.trainer.observed_count,
         )
@@ -500,7 +432,6 @@ class SelectivityService:
         ``register_model(initial_errors=...)``.
         """
         return self._with_slot(
-            self._served_model,
             self._key(table, columns),
             lambda served: tuple(served.errors),
         )
@@ -517,238 +448,17 @@ class SelectivityService:
         :meth:`unregister_model`: ``serializer`` (default
         :func:`copy.deepcopy`) runs under the served model's lock, so the
         captured trainer is internally consistent even while feedback and
-        refits race on — and the key keeps serving throughout.  A
-        promote landing between the slot lookup and the lock is
-        re-resolved, so the export is always of the current champion.
+        refits race on — and the key keeps serving throughout.  An
+        unregister landing between the slot lookup and the lock is
+        re-resolved, so the export is always of the key's current
+        trainer.
         """
         if serializer is None:
             serializer = copy.deepcopy
         return self._with_slot(
-            self._served_model,
             self._key(table, columns),
             lambda served: serializer(served.trainer),
         )
-
-    def export_challenger(
-        self,
-        table: str | ModelKey,
-        columns: Sequence[str] = (),
-        serializer: Callable[[TrainableBackend], object] | None = None,
-    ) -> object:
-        """Serialise a key's live challenger trainer without withdrawing it.
-
-        Like :meth:`unregister_challenger`, the mirror backlog is folded
-        into the trainer first, in the same trainer-lock hold as the
-        serialisation, so the export carries every mirrored observation
-        (including those queued while a challenger refit held the lock).
-        """
-        if serializer is None:
-            serializer = copy.deepcopy
-
-        def export(challenger: _ServedModel) -> object:
-            self._fold_backlog(challenger)
-            return serializer(challenger.trainer)
-
-        return self._with_slot(
-            self._challenger_model, self._key(table, columns), export
-        )
-
-    # ------------------------------------------------------------------
-    # Champion/challenger lifecycle (A/B serving)
-    # ------------------------------------------------------------------
-    def register_challenger(
-        self,
-        table: str | ModelKey,
-        trainer: TrainableBackend,
-        columns: Sequence[str] = (),
-        shadow_frac: float = 1.0,
-        refit_backlog: bool = True,
-        initial_errors: Sequence[float] = (),
-    ) -> ModelKey:
-        """Shadow a second backend behind an already-served key.
-
-        The challenger gets its own versioned snapshot chain in the
-        service's private challenger registry (reads keep coming from
-        the champion), receives ``shadow_frac`` of the key's feedback
-        (deterministic stride sampling, so two identically fed services
-        mirror identically), accumulates its own drift/error window and
-        refit triggers, and shows up in
-        :meth:`ServingStats.backend_errors` under its own backend name
-        next to the champion — the A/B evidence :meth:`promote` acts on.
-        It must cover the champion's domain.  Like
-        :meth:`register_model`, ``trainer`` may be a bare estimator
-        (wrapped via :func:`~repro.estimators.backend.as_backend`) and an
-        unabsorbed feedback backlog is refitted up front unless
-        ``refit_backlog=False`` (migration hand-off).
-        """
-        key = self._key(table, columns)
-        trainer = as_backend(trainer)
-        if not (0.0 < shadow_frac <= 1.0):
-            raise ServingError("shadow_frac must be in (0, 1]")
-
-        def precheck() -> None:
-            if key not in self._served:
-                raise ServingError(
-                    f"cannot register a challenger for unserved key {key}; "
-                    "register the champion first"
-                )
-            if key in self._challengers:
-                raise ServingError(
-                    f"key {key} already has a registered challenger"
-                )
-            if self._registry.current(key).domain != trainer.domain:
-                raise ServingError(
-                    f"challenger for key {key} must cover the champion's domain"
-                )
-
-        challenger = _ServedModel(
-            key,
-            trainer,
-            self._challenger_registry,
-            _challenger_stats_name(trainer),
-            self._error_window(),
-            shadow_frac,
-        )
-        self._install(
-            self._challengers, challenger, precheck, refit_backlog, initial_errors
-        )
-        return key
-
-    def unregister_challenger(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> TrainableBackend:
-        """Withdraw a key's challenger and hand back its backend.
-
-        Waits out an in-flight challenger refit (trainer lock), then
-        folds the mirror backlog into the challenger's trainer, so the
-        returned backend carries every mirrored observation and can
-        resume shadowing on another shard.
-        """
-        key = self._key(table, columns)
-
-        def withdraw(challenger: _ServedModel) -> _ServedModel:
-            # Retiring in the same mirror-lock hold as the fold means no
-            # racing mirror can append into a backlog nobody will read.
-            self._fold_backlog(challenger, retire=True)
-            with self._lock:
-                del self._challengers[key]
-                challenger.registry.remove(key)
-            return challenger
-
-        challenger = self._with_slot(self._challenger_model, key, withdraw)
-        self._cache.invalidate(("challenger", key))
-        # A later challenger for this key must start with a clean A/B
-        # error window, not this one's history.
-        self._stats.forget_backend_errors(key, challenger.label)
-        return challenger.trainer
-
-    def has_challenger(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bool:
-        """True if the key currently shadows a challenger backend."""
-        with self._lock:
-            return self._key(table, columns) in self._challengers
-
-    def challenger_snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
-        """The challenger's current snapshot (raises if none registered)."""
-        key = self._key(table, columns)
-        return self._challenger_model(key).registry.current(key)
-
-    def challenger_shadow_frac(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> float:
-        """The fraction of the key's feedback mirrored to its challenger."""
-        return self._challenger_model(self._key(table, columns)).shadow_frac
-
-    def challenger_drift_errors(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> tuple[float, ...]:
-        """The challenger's recent served-vs-true error window, oldest first."""
-        return self._with_slot(
-            self._challenger_model,
-            self._key(table, columns),
-            lambda challenger: tuple(challenger.errors),
-        )
-
-    def challenger_estimate(
-        self,
-        table: str | ModelKey,
-        predicate: PredicateLike,
-        columns: Sequence[str] = (),
-    ) -> float:
-        """What the challenger would have served, off the metrics books.
-
-        Cached under a challenger-scoped cache key (so champion and
-        challenger versions can never collide), not recorded as a read
-        request — comparison tooling and tests use this to hold both
-        backends' answers side by side.
-        """
-        key = self._key(table, columns)
-        value, _ = self._estimate_cached(
-            ("challenger", key), self.challenger_snapshot_for(key), predicate
-        )
-        return value
-
-    def promote(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> TrainableBackend:
-        """Atomically make the challenger the champion; returns the retiree.
-
-        Under the champion's and challenger's trainer locks in one
-        critical section: the challenger's chain is removed, its backend
-        takes over the key's write path (pending feedback, drift window,
-        and any not-yet-drained mirror backlog move with it), and its
-        current model is published as the next champion version
-        (registry-atomic — concurrent readers see the old champion or
-        the promoted one, never a mix).  The retired champion backend is
-        returned to the caller.  An untrained challenger is refused
-        before anything changes, so it keeps shadowing and can be
-        promoted once it has trained.
-        """
-        key = self._key(table, columns)
-        served = self._served_model(key)
-        challenger = self._challenger_model(key)
-        with served.lock, challenger.lock:
-            if served.retired or challenger.retired:
-                raise ServingError(f"key {key} changed during promote; retry")
-            current = challenger.registry.current(key)
-            if current.model is None:
-                raise ServingError(
-                    f"challenger for key {key} has not trained yet; "
-                    "refusing to promote the uniform bootstrap"
-                )
-            # The promoted trainer carries every mirrored observation
-            # (pending toward its next refit; the *published* model is
-            # the challenger's current snapshot, promotion never
-            # retrains).  A mirror that misses this fold sees the slot
-            # retired and skips, so nothing lands in a backlog no one
-            # will read.
-            self._fold_backlog(challenger, retire=True)
-            promoted = self._champion_slot(key, challenger.trainer)
-            promoted.pending = challenger.pending
-            promoted.errors.extend(challenger.errors)
-            # The promoted slot holds the key, under its own lock, before
-            # the publish: feedback the publish listeners replay (a
-            # shard's buffered writes) lands in the promoted trainer,
-            # and no refit of it can publish ahead of the promotion.
-            with promoted.lock:
-                with self._lock:
-                    challenger.registry.remove(key)
-                    self._served[key] = promoted
-                    del self._challengers[key]
-                served.retired = True
-                self._registry.publish(key, current.model, current.trained_on)
-        self._cache.invalidate(("challenger", key))
-        # Role windows end with the roles: the retiree's champion window
-        # and the promoted backend's challenger-era window must not
-        # contaminate future occupants of either slot — the promoted
-        # backend starts a fresh champion window under its plain name.
-        self._stats.forget_backend_errors(key, served.label)
-        self._stats.forget_backend_errors(key, challenger.label)
-        self._stats.add("promotions")
-        return served.trainer
 
     # ------------------------------------------------------------------
     # Reads
@@ -921,12 +631,10 @@ class SelectivityService:
         key = self._key(table, columns)
         snapshot = self._registry.current(key)
         served_estimate, _ = self._estimate_cached(key, snapshot, predicate)
-        feedback = ((predicate, selectivity, served_estimate),)
         decision = self._with_slot(
-            self._served_model, key, self._absorb, feedback
+            key, self._absorb, ((predicate, selectivity, served_estimate),)
         )
         self._stats.add("observations")
-        self._mirror_to_challenger(key, feedback)
         return self._maybe_refit(key, decision)
 
     def apply_feedback(
@@ -947,26 +655,21 @@ class SelectivityService:
         without touching the trainer lock and hands them here when the
         lock is free.
 
-        With ``blocking=False`` the call returns ``None`` immediately —
-        applying nothing, mirroring nothing (the caller re-delivers the
-        same batch later, and mirroring a refused batch here would
-        double-mirror it then) — if the trainer lock is held (a refit
-        in flight).  Otherwise returns whether the batch triggered a
-        refit submission, after offering the key's challenger (if any)
-        its mirrored share without ever blocking on the challenger's
-        own training.
+        With ``blocking=False`` the call returns ``None`` immediately,
+        applying nothing, if the trainer lock is held (a refit in
+        flight); the caller re-delivers the same batch later.  Otherwise
+        returns whether the batch triggered a refit submission.
         """
         key = self._key(table, columns)
         feedback = list(feedback)
         if not feedback:
             return False
         decision = self._with_slot(
-            self._served_model, key, self._absorb, feedback, blocking=blocking
+            key, self._absorb, feedback, blocking=blocking
         )
         if decision is None:
             return None
         self._stats.add("observations", len(feedback))
-        self._mirror_to_challenger(key, feedback)
         try:
             return self._maybe_refit(key, decision)
         except ServingError:
@@ -985,19 +688,11 @@ class SelectivityService:
         return self._registry.current(key)
 
     def drain(self, timeout: float | None = None) -> None:
-        """Absorb all pending mirrored feedback, then wait out refits.
+        """Wait until every submitted refit has published.
 
-        Challenger mirror backlogs are drained first (blocking), so any
-        refit that drain triggers is covered by the scheduler wait that
-        follows — after this returns, every accepted observation is in
-        its trainer and every submitted refit has published.  Migration
-        relies on this to capture complete drift/A/B evidence before a
-        hand-off.
+        Migration relies on this to hand off the exact snapshot being
+        served.
         """
-        with self._lock:
-            keys = tuple(self._challengers)
-        for key in keys:
-            self._drain_challenger(key, blocking=True)
         self._scheduler.drain(timeout)
 
     @property
@@ -1036,61 +731,51 @@ class SelectivityService:
     def _key(self, table: str | ModelKey, columns: Sequence[str]) -> ModelKey:
         return normalize_key(table, columns)
 
-    def _error_window(self) -> int:
-        """Drift-window size every served/challenger slot is created with."""
-        return max(self._policy.drift_window, self._policy.min_drift_observations)
-
-    def _champion_slot(
-        self, key: ModelKey, trainer: TrainableBackend
-    ) -> _ServedModel:
-        return _ServedModel(
-            key, trainer, self._registry, _backend_name(trainer), self._error_window()
-        )
-
     def _install(
         self,
-        slots: dict[ModelKey, _ServedModel],
         slot: _ServedModel,
-        precheck: Callable[[], None],
         refit_backlog: bool,
         initial_errors: Sequence[float],
     ) -> None:
-        """Put ``slot`` behind its key in ``slots`` and publish its model.
+        """Put ``slot`` behind its key and publish its model.
 
-        ``precheck`` raises if the role's preconditions fail.  It runs
-        under the service lock before the trainer is touched (refusing a
-        duplicate must not refit anything: the key's existing trainer may
-        be mid-refit under its own lock) and again right before the
-        insert, for the register/register race.  A backend carrying
-        feedback its model has not absorbed (no model yet, or
-        observations recorded after the last refit) is refitted first,
-        outside the locks — otherwise that backlog would serve stale or
-        uniform estimates until fresh traffic filled the refit policy's
-        triggers.  A failed refit leaves nothing registered, so the call
-        can simply be retried.
+        A key that is already served is refused under the service lock
+        before the trainer is touched (refusing a duplicate must not
+        refit anything: the key's existing trainer may be mid-refit
+        under its own lock) and again right before the insert, for the
+        register/register race.  A backend carrying feedback its model
+        has not absorbed (no model yet, or observations recorded after
+        the last refit) is refitted first, outside the locks — otherwise
+        that backlog would serve stale or uniform estimates until fresh
+        traffic filled the refit policy's triggers.  A failed refit
+        leaves nothing registered, so the call can simply be retried.
         """
-        trainer = slot.trainer
+        key, trainer = slot.key, slot.trainer
+
+        def refuse_duplicate() -> None:
+            if key in self._served:
+                raise ServingError(f"model key {key} is already registered")
+
         with self._lock:
-            precheck()
+            refuse_duplicate()
         if refit_backlog and trainer.observed_count > trainer.trained_count:
             trainer.refit()
         fitted_on = trainer.trained_count
         with self._lock:
-            precheck()
-            slot.registry.register(slot.key, trainer.domain)
+            refuse_duplicate()
+            self._registry.register(key, trainer.domain)
             slot.pending = trainer.observed_count - fitted_on
             slot.errors.extend(initial_errors)  # maxlen keeps the newest
-            slots[slot.key] = slot
+            self._served[key] = slot
         # Publish only under the slot's lock so an initial publish cannot
         # interleave with a refit's.
         with slot.lock:
             model = trainer.snapshot_model()
             if model is not None and not slot.retired:
-                slot.registry.publish(slot.key, model, fitted_on)
+                self._registry.publish(key, model, fitted_on)
 
     def _with_slot(
         self,
-        lookup: Callable[[ModelKey], _ServedModel | None],
         key: ModelKey,
         action: Callable[..., T],
         *args: object,
@@ -1098,16 +783,16 @@ class SelectivityService:
     ) -> T | None:
         """Run ``action(slot, *args)`` under the lock of ``key``'s slot.
 
-        ``lookup`` resolves the slot in one role.  A slot retired (by a
-        promote or an unregister) between the lookup and the lock is
-        re-resolved once, so no caller feeds, exports or publishes a
-        trainer that has left its key.  Returns None without running
-        ``action`` when ``lookup`` finds no slot, or when
-        ``blocking=False`` and the lock is busy.
+        A slot retired by an unregister between the lookup and the lock
+        is re-resolved once — the key may have been registered again —
+        so no caller feeds, exports or publishes a trainer that has left
+        its key.  Raises :class:`ServingError` if the key is not served;
+        returns None without running ``action`` when ``blocking=False``
+        and the lock is busy.
         """
         for _ in range(2):
-            slot = lookup(key)
-            if slot is None or not slot.lock.acquire(blocking=blocking):
+            slot = self._served_model(key)
+            if not slot.lock.acquire(blocking=blocking):
                 return None
             try:
                 if not slot.retired:
@@ -1146,93 +831,6 @@ class SelectivityService:
             lifetime_observations=lifetime_count,
         )
 
-    def _fold_backlog(
-        self, challenger: _ServedModel, retire: bool = False
-    ) -> RefitDecision | None:
-        """Pop the mirror backlog into the challenger's trainer.
-
-        The caller holds the trainer lock.  Each observation is priced
-        against the challenger's *current* snapshot (one vectorised
-        call), so its drift window and A/B error stats cover the same
-        share of traffic the mirror sampled, including the backlog
-        accumulated while a refit held the lock.  ``retire`` retires the
-        slot in the same mirror-lock hold as the pop.  Returns the
-        policy's decision, or None for an empty backlog.
-        """
-        with challenger.mirror_lock:
-            batch, challenger.backlog = challenger.backlog, []
-            if retire:
-                challenger.retired = True
-        if not batch:
-            return None
-        snapshot = challenger.registry.current(challenger.key)
-        estimates = snapshot.estimate_many([p for p, _ in batch])
-        return self._absorb(
-            challenger,
-            [
-                (predicate, selectivity, float(estimate))
-                for (predicate, selectivity), estimate in zip(batch, estimates)
-            ],
-        )
-
-    def _mirror_to_challenger(
-        self,
-        key: ModelKey,
-        feedback: Sequence[tuple[PredicateLike, float, float]],
-    ) -> None:
-        """Offer a key's feedback to its challenger (if any).
-
-        The mirrored share (``shadow_frac`` via deterministic stride
-        sampling) is appended to the challenger's backlog under its own
-        mirror lock — never the trainer lock — and then drained
-        opportunistically, so a challenger mid-refit can never stall the
-        key's write path.  Undrained backlog is picked up by the next
-        mirror, the next challenger refit, or promote().
-        """
-        challenger = self._challenger_if_any(key)
-        if challenger is None:
-            return
-        frac = challenger.shadow_frac
-        taken: list[tuple[PredicateLike, float]] = []
-        with challenger.mirror_lock:
-            if challenger.retired:
-                return
-            for predicate, selectivity, _ in feedback:
-                challenger.mirror_seen += 1
-                if math.floor(challenger.mirror_seen * frac) > math.floor(
-                    (challenger.mirror_seen - 1) * frac
-                ):
-                    taken.append((predicate, selectivity))
-            if taken:
-                challenger.backlog.extend(taken)
-        if not taken:
-            return
-        self._stats.add("challenger_observations", len(taken))
-        # blocking=False is load-bearing: a challenger mid-refit (a scan
-        # backend rescanning its data source can hold its trainer lock
-        # for seconds) must never stall the key's write path — the
-        # mirrored share waits in the backlog as documented.
-        self._drain_challenger(key, blocking=False)
-
-    def _drain_challenger(self, key: ModelKey, blocking: bool) -> None:
-        """Fold a key's mirror backlog in; submit a challenger refit if due.
-
-        Silent if the key has no challenger (any more), or when
-        ``blocking=False`` and its trainer lock was busy.
-        """
-        decision = self._with_slot(
-            self._challenger_if_any, key, self._fold_backlog, blocking=blocking
-        )
-        if decision:
-            try:
-                self._scheduler.submit(
-                    (key, "challenger"), lambda: self._refit_challenger(key)
-                )
-            except ServingError:
-                # Scheduler shut down mid-teardown; the feedback is
-                # absorbed, only the background retrain is skipped.
-                pass
-
     def _lifetime_evidence(self, key: object, backend: str) -> tuple[int, float]:
         """The shift trigger's lifetime denominator, or nothing.
 
@@ -1267,28 +865,12 @@ class SelectivityService:
                     "call register_model() first"
                 ) from error
 
-    def _challenger_if_any(self, key: ModelKey) -> _ServedModel | None:
-        with self._lock:
-            return self._challengers.get(key)
-
-    def _challenger_model(self, key: ModelKey) -> _ServedModel:
-        challenger = self._challenger_if_any(key)
-        if challenger is None:
-            raise ServingError(
-                f"no challenger registered for key {key}; "
-                "call register_challenger() first"
-            )
-        return challenger
-
     def _cache_key(
-        self, key: object, snapshot: ModelSnapshot, predicate: PredicateLike
+        self, key: ModelKey, snapshot: ModelSnapshot, predicate: PredicateLike
     ) -> tuple | None:
         """The cache key for a predicate, or None if it has no stable key.
 
-        ``key`` is the model key for champion reads, or the
-        ``("challenger", model_key)`` scope for challenger reads — the
-        two version chains must never share cache entries.  Custom
-        :class:`~repro.core.predicate.Predicate`/``Constraint``
+        Custom :class:`~repro.core.predicate.Predicate`/``Constraint``
         subclasses are estimable (via ``to_region``) but not structurally
         keyable; they are served uncached rather than rejected.
         """
@@ -1298,7 +880,7 @@ class SelectivityService:
             return None
 
     def _estimate_cached(
-        self, key: object, snapshot: ModelSnapshot, predicate: PredicateLike
+        self, key: ModelKey, snapshot: ModelSnapshot, predicate: PredicateLike
     ) -> tuple[float, bool]:
         cache_key = self._cache_key(key, snapshot, predicate)
         if cache_key is not None:
@@ -1314,25 +896,11 @@ class SelectivityService:
         # The publish happens under the same lock as the training so two
         # concurrent refits for one key (background worker + refit_now)
         # cannot publish out of order and leave a staler model as the
-        # highest version; a promote landing between lookup and lock
-        # must not let this job publish the retired trainer's model over
-        # the freshly promoted one (_with_slot re-resolves).
-        self._with_slot(self._served_model, key, self._refit_locked)
+        # highest version; an unregister and re-register landing between
+        # lookup and lock must not let this job publish the retired
+        # trainer's model over the new one (_with_slot re-resolves).
+        self._with_slot(key, self._refit_locked)
         self._stats.add("refits_completed")
-
-    def _refit_challenger(self, key: ModelKey) -> None:
-        """Background retrain of a key's challenger; silent if it left."""
-
-        def refit(challenger: _ServedModel) -> ModelSnapshot:
-            # Train on everything mirrored, including backlog the
-            # non-blocking mirror path left behind.
-            self._fold_backlog(challenger)
-            return self._refit_locked(challenger)
-
-        if self._with_slot(self._challenger_if_any, key, refit) is None:
-            return
-        self._cache.invalidate(("challenger", key))
-        self._stats.add("challenger_refits")
 
     def _refit_locked(self, slot: _ServedModel) -> ModelSnapshot:
         """Retrain a slot's trainer and publish; caller holds its lock."""
@@ -1345,7 +913,7 @@ class SelectivityService:
             )
         slot.pending = 0
         slot.errors.clear()
-        return slot.registry.publish(slot.key, model, slot.trainer.trained_count)
+        return self._registry.publish(slot.key, model, slot.trainer.trained_count)
 
     def _on_publish(self, key: ModelKey, snapshot: ModelSnapshot) -> None:
         # Version-scoped keys already guarantee correctness; eager
@@ -1355,6 +923,5 @@ class SelectivityService:
     def __repr__(self) -> str:
         return (
             f"SelectivityService(models={len(self._served)}, "
-            f"challengers={len(self._challengers)}, "
             f"scheduler={self._scheduler.mode!r})"
         )

@@ -15,12 +15,10 @@ latencies from which p50/p99 are computed on demand.  It deliberately has
 no external dependencies — :meth:`ServingStats.snapshot` returns a plain
 dict that callers can ship to whatever metrics system they run.
 
-A/B serving adds a per-backend error surface: every observation's
-``|served - true|`` error is recorded under ``(model key, backend
-name)``, for the champion and for any mirrored challenger, so operators
-can read "QuickSel vs ST-Holes on table X" straight off the stats — the
-evidence a :meth:`~repro.serving.service.SelectivityService.promote`
-decision is made on.
+Every observation's ``|served - true|`` error is also recorded under
+``(model key, backend name)``, so operators can read each key's served
+error straight off the stats, and fleet views can compare backends
+across keys.
 """
 
 from __future__ import annotations
@@ -120,12 +118,9 @@ class ServingStats(Counters):
         "cache_hits",
         "cache_misses",
         "observations",
-        "challenger_observations",
         "refits_triggered",
         "drift_refits_triggered",
         "refits_completed",
-        "challenger_refits",
-        "promotions",
         "sandwich_estimates",
         "sandwich_learned",
         "sandwich_independence",
@@ -197,9 +192,7 @@ class ServingStats(Counters):
         """Record ``|served - true|`` errors for one key's backend.
 
         ``model`` is rendered with ``str`` so the surface stays a plain
-        dict; both the champion and any challenger report here under
-        their own backend name, which is what makes the per-key A/B
-        error comparison readable from one place.
+        dict.
         """
         if not errors:
             return
@@ -214,25 +207,12 @@ class ServingStats(Counters):
             lifetime[0] += len(errors)
             lifetime[1] += float(sum(errors))
 
-    def forget_backend_errors(
-        self, model: object, backend: str | None = None
-    ) -> None:
-        """Drop a key's backend-error windows (hand-off/unregister).
-
-        With ``backend`` given, only that backend's window goes — a
-        retired challenger must not leak its history into a later
-        challenger that happens to share the backend name; with
-        ``backend=None`` the whole key is forgotten (champion
-        hand-off).
-        """
+    def forget_backend_errors(self, model: object) -> None:
+        """Drop every backend-error window of a key (hand-off/unregister)."""
         name = str(model)
         with self._lock:
             for store in (self._backend_errors, self._lifetime_errors):
-                for scope in [
-                    s
-                    for s in store
-                    if s[0] == name and (backend is None or s[1] == backend)
-                ]:
+                for scope in [s for s in store if s[0] == name]:
                     del store[scope]
 
     def record_sandwich(self, source: str, clamped: str | None) -> None:
@@ -292,9 +272,8 @@ class ServingStats(Counters):
     def backend_errors(self) -> dict[str, dict[str, float]]:
         """Mean absolute error per ``{model key: {backend name: error}}``.
 
-        The A/B readout: with a challenger mirrored behind a key, the
-        key's dict holds one entry per backend over each backend's
-        recent error window.  Keys with no recorded errors are absent.
+        Each mean is over the backend's recent error window.  Keys with
+        no recorded errors are absent.
         """
         with self._lock:
             return mean_errors(self._backend_errors)
@@ -366,9 +345,9 @@ class ServingStats(Counters):
     def snapshot(self) -> dict[str, object]:
         """Every counter plus derived metrics, from one :meth:`view`.
 
-        Includes the per-key :meth:`backend_errors` A/B surface, so a
-        plain single-service deployment ships the same promote evidence
-        the cluster's ``fleet_stats()["backend_errors"]`` exports.
+        Includes the per-key :meth:`backend_errors`, so a plain
+        single-service deployment ships the same error surface the
+        cluster's ``fleet_stats()["backend_errors"]`` exports.
         """
         view = self.view()
         snapshot: dict[str, object] = dict(view["counters"])

@@ -1,4 +1,4 @@
-"""Tests for backend-agnostic serving (repro.estimators.backend + A/B).
+"""Tests for backend-agnostic serving (repro.estimators.backend).
 
 Covers the contracts the TrainableBackend refactor makes:
 
@@ -11,30 +11,21 @@ Covers the contracts the TrainableBackend refactor makes:
 * vectorised ``estimate_many`` overrides for ST-Holes / ISOMER /
   AutoHist match the scalar loop elementwise,
 * :class:`~repro.serving.cache.EstimateCache` TTL expiry on read,
-* champion/challenger serving: mirrored feedback (full and fractional),
-  per-backend error stats, challenger refits and snapshot chains, and
-  the atomic ``promote`` swap under concurrent reads,
-* the cluster: three backend families served behind one ring,
+* the cluster: three backend families served behind one ring, and
   shard-migration hand-off of non-QuickSel backends (exact-snapshot
-  parity), and A/B pairs migrating together.
+  parity).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.config import QuickSelConfig
-from repro.core.geometry import Hyperrectangle
 from repro.core.quicksel import QuickSel
-from repro.cluster import (
-    BufferedObservation,
-    ShardedSelectivityService,
-    ShardWorker,
-)
+from repro.cluster import ShardedSelectivityService
 from repro.estimators import (
     AutoHist,
     AutoSample,
@@ -48,12 +39,7 @@ from repro.estimators import (
     as_backend,
 )
 from repro.exceptions import EstimatorError, ServingError
-from repro.serving import (
-    EstimateCache,
-    RefitPolicy,
-    RefitScheduler,
-    SelectivityService,
-)
+from repro.serving import EstimateCache, RefitPolicy
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
 
@@ -419,293 +405,7 @@ class TestCacheTTL:
 
 
 # ----------------------------------------------------------------------
-# Champion/challenger A/B serving
-# ----------------------------------------------------------------------
-class _PromoteBeforeFirstAcquire:
-    """A trainer lock that runs ``promote`` just before its first acquire,
-    so a caller that already looked up the slot finds it retired."""
-
-    def __init__(self, lock, promote) -> None:
-        self._lock = lock
-        self._promote = promote
-
-    def acquire(self, blocking=True, timeout=-1):
-        promote, self._promote = self._promote, None
-        if promote is not None:
-            promote()
-        return self._lock.acquire(blocking, timeout)
-
-    def release(self) -> None:
-        self._lock.release()
-
-    def __enter__(self):
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-class TestChampionChallenger:
-    def _ab_service(self, make_service, world, shadow_frac=1.0, min_new=16):
-        dataset, feedback, _ = world
-        service = make_service(
-            policy=RefitPolicy(min_new_observations=min_new)
-        )
-        champion = QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        key = service.register_model("t", champion)
-        service.register_challenger(
-            key, STHoles(dataset.domain, max_buckets=300),
-            shadow_frac=shadow_frac,
-        )
-        return service, key
-
-    def test_requires_a_served_champion(self, world, make_service):
-        dataset, _, _ = world
-        service = make_service()
-        with pytest.raises(ServingError, match="unserved key"):
-            service.register_challenger("t", STHoles(dataset.domain))
-        service.close()
-
-    def test_one_challenger_per_key(self, world, make_service):
-        dataset, _, _ = world
-        service, key = self._ab_service(make_service, world)
-        with pytest.raises(ServingError, match="already has"):
-            service.register_challenger(key, QueryModel(dataset.domain))
-        service.close()
-
-    def test_feedback_is_mirrored_and_both_publish(self, world, make_service):
-        dataset, feedback, probes = world
-        service, key = self._ab_service(make_service, world)
-        for predicate, selectivity in feedback[:48]:
-            service.observe(key, predicate, selectivity)
-        assert service.snapshot_for(key).version >= 1
-        challenger_snapshot = service.challenger_snapshot_for(key)
-        assert challenger_snapshot.version >= 1
-        assert service.stats.challenger_observations == 48
-        assert service.stats.challenger_refits >= 1
-        # Reads still come from the champion (a mixture model), while the
-        # challenger's chain serves the frozen ST-Holes state.
-        errors = service.stats.backend_errors()[str(key)]
-        assert set(errors) == {"QuickSel", "STHoles@challenger"}
-        assert all(error >= 0.0 for error in errors.values())
-        service.close()
-
-    def test_shadow_frac_mirrors_a_deterministic_fraction(self, world, make_service):
-        dataset, feedback, _ = world
-        service, key = self._ab_service(make_service, world, shadow_frac=0.25, min_new=1000)
-        for predicate, selectivity in feedback[:40]:
-            service.observe(key, predicate, selectivity)
-        assert service.stats.observations == 40
-        assert service.stats.challenger_observations == 10  # floor-stride
-        service.close()
-
-    def test_same_backend_type_ab_keeps_windows_apart(self, world, make_service):
-        """QuickSel-vs-QuickSel A/B still yields two distinct windows."""
-        dataset, feedback, _ = world
-        service = make_service(policy=RefitPolicy(min_new_observations=16))
-        key = service.register_model(
-            "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        )
-        service.register_challenger(
-            key, QuickSel(dataset.domain, QuickSelConfig(random_seed=1))
-        )
-        for predicate, selectivity in feedback[:24]:
-            service.observe(key, predicate, selectivity)
-        errors = service.stats.backend_errors()[str(key)]
-        assert set(errors) == {"QuickSel", "QuickSel@challenger"}
-        service.close()
-
-    def test_champion_reads_unaffected_by_challenger(self, world, make_service):
-        dataset, feedback, probes = world
-        solo = make_service(policy=RefitPolicy(min_new_observations=16))
-        solo_key = solo.register_model(
-            "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        )
-        service, key = self._ab_service(make_service, world)
-        for predicate, selectivity in feedback[:48]:
-            solo.observe(solo_key, predicate, selectivity)
-            service.observe(key, predicate, selectivity)
-        np.testing.assert_allclose(
-            service.estimate_batch(key, probes),
-            solo.estimate_batch(solo_key, probes),
-            rtol=0,
-            atol=PARITY,
-        )
-        solo.close()
-        service.close()
-
-    def test_promote_swaps_atomically(self, world, make_service):
-        dataset, feedback, probes = world
-        service, key = self._ab_service(make_service, world)
-        for predicate, selectivity in feedback[:48]:
-            service.observe(key, predicate, selectivity)
-        champion_version = service.snapshot_for(key).version
-        challenger_model = service.challenger_snapshot_for(key).model
-        expected = np.array(
-            [service.challenger_estimate(key, p) for p in probes]
-        )
-        retired = service.promote(key)
-        assert isinstance(retired, QuickSel)
-        snapshot = service.snapshot_for(key)
-        assert snapshot.version == champion_version + 1
-        assert snapshot.model is challenger_model
-        assert not service.has_challenger(key)
-        assert service.stats.promotions == 1
-        np.testing.assert_allclose(
-            service.estimate_batch(key, probes), expected, rtol=0, atol=PARITY
-        )
-        # The promoted backend now owns the write path.
-        service.observe(key, feedback[48][0], feedback[48][1])
-        assert service.feedback_count(key) >= 49
-        service.close()
-
-    def test_promote_untrained_challenger_refused(self, world, make_service):
-        dataset, _, _ = world
-        service = make_service(policy=RefitPolicy(min_new_observations=1000))
-        key = service.register_model(
-            "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        )
-        service.register_challenger(key, STHoles(dataset.domain))
-        with pytest.raises(ServingError, match="not trained"):
-            service.promote(key)
-        service.close()
-
-    def test_refused_promote_keeps_the_challenger_shadowing(self, world, make_service):
-        """Refusing an untrained challenger changes nothing: it keeps
-        taking mirrored feedback, refits, exports and can be promoted."""
-        dataset, feedback, _ = world
-        service, key = self._ab_service(make_service, world, min_new=8)
-        with pytest.raises(ServingError, match="not trained"):
-            service.promote(key)
-        for predicate, selectivity in feedback[:24]:
-            service.observe(key, predicate, selectivity)
-        assert service.stats.challenger_observations == 24
-        assert service.challenger_snapshot_for(key).version >= 1
-        assert service.export_challenger(key).observed_count == 24
-        service.promote(key)
-        assert not service.has_challenger(key)
-        service.close()
-
-    def test_export_after_a_racing_promote_returns_the_promoted_trainer(
-        self, world, make_service
-    ):
-        dataset, feedback, _ = world
-        service, key = self._ab_service(make_service, world)
-        for predicate, selectivity in feedback[:48]:
-            service.observe(key, predicate, selectivity)
-        promoted = service._challengers[key].trainer
-        champion = service._served[key]
-        champion.lock = _PromoteBeforeFirstAcquire(
-            champion.lock, lambda: service.promote(key)
-        )
-        assert service.export_trainer(key, serializer=lambda t: t) is promoted
-        assert service.stats.promotions == 1
-        service.close()
-
-    def test_challenger_over_a_different_domain_is_refused(self, world, make_service):
-        dataset, _, _ = world
-        service = make_service()
-        key = service.register_model(
-            "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        )
-        with pytest.raises(ServingError, match="domain"):
-            service.register_challenger(key, STHoles(Hyperrectangle.unit(3)))
-        assert not service.has_challenger(key)
-        service.close()
-
-    def test_unregister_champion_refused_while_challenger_lives(self, world, make_service):
-        service, key = self._ab_service(make_service, world)
-        with pytest.raises(ServingError, match="challenger"):
-            service.unregister_model(key)
-        backend = service.unregister_challenger(key)
-        assert isinstance(backend, QueryDrivenBackend)
-        service.unregister_model(key)  # now fine
-        service.close()
-
-    def test_unregister_challenger_carries_mirrored_feedback(self, world, make_service):
-        dataset, feedback, _ = world
-        service, key = self._ab_service(make_service, world, min_new=1000)
-        for predicate, selectivity in feedback[:12]:
-            service.observe(key, predicate, selectivity)
-        backend = service.unregister_challenger(key)
-        assert backend.observed_count == 12
-        service.close()
-
-    def test_promote_under_concurrent_reads(self, world):
-        """Readers racing a promote always see a complete snapshot.
-
-        The refit count trigger is set out of reach so the *only*
-        publish during the race is the promote itself — the reader
-        invariant (every burst is entirely champion or entirely
-        challenger) would not survive a background retrain landing
-        mid-loop, which is not what this test is about.
-        """
-        dataset, feedback, probes = world
-        service = SelectivityService(
-            policy=RefitPolicy(min_new_observations=10_000),
-            scheduler=RefitScheduler("background"),
-        )
-        champion = QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        champion.observe_many(feedback[:30], refit=True)
-        challenger = QueryDrivenBackend(STHoles(dataset.domain, max_buckets=300))
-        challenger.observe_many(feedback[:30])
-        challenger.refit()
-        key = service.register_model("t", champion)
-        service.register_challenger(key, challenger)
-        champion_answers = service.estimate_batch(key, probes[:20])
-        challenger_answers = np.array(
-            [service.challenger_estimate(key, p) for p in probes[:20]]
-        )
-        errors: list[Exception] = []
-        start = threading.Barrier(5)
-        stop = threading.Event()
-
-        def reader():
-            try:
-                start.wait()
-                while not stop.is_set():
-                    values = service.estimate_batch(key, probes[:20])
-                    ok_champion = (
-                        np.abs(values - champion_answers).max() <= PARITY
-                    )
-                    ok_challenger = (
-                        np.abs(values - challenger_answers).max() <= PARITY
-                    )
-                    # Every burst is entirely one model or the other.
-                    assert ok_champion or ok_challenger
-                    version = service.snapshot_for(key).version
-                    assert version >= 1
-            except Exception as error:  # pragma: no cover - surfaced below
-                errors.append(error)
-
-        def writer():
-            try:
-                start.wait()
-                for predicate, selectivity in feedback[30:50]:
-                    service.observe(key, predicate, selectivity)
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        threads.append(threading.Thread(target=writer))
-        for thread in threads:
-            thread.start()
-        start.wait()
-        time.sleep(0.02)
-        retired = service.promote(key)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not errors, errors
-        assert isinstance(retired, QuickSel)
-        assert service.snapshot_for(key).model is not None
-        service.drain()
-        service.close()
-
-
-# ----------------------------------------------------------------------
-# Cluster: multi-backend serving, migration, A/B
+# Cluster: multi-backend serving and migration
 # ----------------------------------------------------------------------
 class TestClusterBackends:
     def _cluster(self, **kwargs):
@@ -778,82 +478,3 @@ class TestClusterBackends:
                 assert np.abs(after - before[key]).max() <= PARITY
         finally:
             cluster.close()
-
-    def test_ab_pair_migrates_together_and_promotes(self, world):
-        dataset, feedback, probes = world
-        cluster = self._cluster(num_shards=2)
-        try:
-            key = cluster.register_model(
-                "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-            )
-            cluster.register_challenger(
-                key, STHoles(dataset.domain, max_buckets=300), shadow_frac=1.0
-            )
-            for predicate, selectivity in feedback[:32]:
-                cluster.observe(key, predicate, selectivity)
-            cluster.drain()
-            assert cluster.has_challenger(key)
-            challenger_version = cluster.challenger_snapshot_for(key).version
-            assert challenger_version >= 1
-            # A/B evidence accrues while both backends see the traffic.
-            errors = cluster.fleet_stats()["backend_errors"][str(key)]
-            assert "STHoles@challenger" in errors and "QuickSel" in errors
-            challenger_model = cluster.challenger_snapshot_for(key).model
-            expected = np.array(
-                [cluster.challenger_estimate(key, p) for p in probes[:30]]
-            )
-            # Force migrations until the key moves at least once.
-            origin = cluster.shard_for(key)
-            cluster.add_shard()
-            cluster.add_shard()
-            if cluster.shard_for(key) == origin:
-                cluster.remove_shard(origin)
-            assert cluster.has_challenger(key)
-            # Exact snapshot hand-off for the challenger too, and the
-            # A/B error evidence migrated with the key.
-            assert cluster.challenger_snapshot_for(key).model is challenger_model
-            errors = cluster.fleet_stats()["backend_errors"][str(key)]
-            assert "STHoles@challenger" in errors and "QuickSel" in errors
-            retired = cluster.promote(key)
-            assert isinstance(retired, QuickSel)
-            assert not cluster.has_challenger(key)
-            np.testing.assert_allclose(
-                cluster.estimate_batch(key, probes[:30]),
-                expected,
-                rtol=0,
-                atol=PARITY,
-            )
-            assert cluster.fleet_stats()["aggregate"]["promotions"] == 1
-        finally:
-            cluster.close()
-
-    def test_promote_replays_buffered_writes_into_the_promoted_trainer(self, world):
-        """A write the shard buffered while promote held the trainer lock
-        is replayed by the promote's publish into the new champion, so
-        no acknowledged write is lost."""
-        dataset, feedback, _ = world
-        worker = ShardWorker(
-            "s", policy=RefitPolicy(min_new_observations=16), scheduler_mode="inline"
-        )
-        try:
-            key = worker.register_model(
-                "t", QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-            )
-            worker.register_challenger(key, STHoles(dataset.domain, max_buckets=300))
-            for predicate, selectivity in feedback[:48]:
-                worker.observe(key, predicate, selectivity)
-            predicate, selectivity = feedback[48]
-            worker.buffer.append(
-                key,
-                BufferedObservation(
-                    predicate,
-                    selectivity,
-                    worker.service.current_estimate(key, predicate),
-                ),
-            )
-            assert worker.feedback_count(key) == 49
-            worker.promote(key)
-            assert worker.buffer.pending(key) == 0
-            assert worker.feedback_count(key) == 49
-        finally:
-            worker.close()

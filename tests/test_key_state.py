@@ -1,17 +1,16 @@
 """One per-key state value across every transport.
 
-A key's learned state — trainer, drift window, A/B challenger, error
-history — leaves a shard as one :class:`~repro.cluster.shard.KeyState`
-and re-enters another through ``install_state``.  These tests load a
-key with every kind of evidence and check that it arrives intact over
-each transport: an in-process resize, a wire migration between worker
-servers, and a disk checkpoint restored into a fresh worker.
+A key's learned state — trainer, drift window, error history — leaves
+a shard as one :class:`~repro.cluster.shard.KeyState` and re-enters
+another through ``install_state``.  These tests load a key with every
+kind of evidence and check that it arrives intact over each transport:
+an in-process resize, a wire migration between worker servers, and a
+disk checkpoint restored into a fresh worker.
 """
 
 from __future__ import annotations
 
 import copy
-import threading
 
 import numpy as np
 import pytest
@@ -37,11 +36,15 @@ CHECKPOINT_FIELDS = (
     "drift_errors",
     "backend_windows",
     "lifetime_totals",
-    "challenger",
-    "challenger_errors",
-    "shadow_frac",
     "feedback_count",
 )
+# What every worker checkpoint also carried while the service had a
+# challenger role; restore must ignore these fields.
+LEGACY_CHALLENGER_FIELDS = {
+    "challenger": None,
+    "challenger_errors": (),
+    "shadow_frac": 1.0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +53,15 @@ def workload():
     generator = RandomRangeQueryGenerator(dataset.domain, seed=52)
     feedback = labelled_feedback(generator.generate(40), dataset.rows)
     probes = RandomRangeQueryGenerator(dataset.domain, seed=53).generate(20)
-    champion = QuickSel(dataset.domain, QuickSelConfig(random_seed=5))
-    champion.observe_many(feedback[:20], refit=True)
-    challenger = QuickSel(dataset.domain, QuickSelConfig(random_seed=6))
-    challenger.observe_many(feedback[:10], refit=True)
-    return dataset, feedback, probes, champion, challenger
+    trainer = QuickSel(dataset.domain, QuickSelConfig(random_seed=5))
+    trainer.observe_many(feedback[:20], refit=True)
+    return dataset, feedback, probes, trainer
 
 
 def _load(worker: ShardWorker, workload) -> ModelKey:
-    """Register a champion and a half-shadowing challenger, then observe."""
-    _, feedback, _, champion, challenger = workload
-    key = worker.register_model("orders", copy.deepcopy(champion))
-    worker.register_challenger(key, copy.deepcopy(challenger), shadow_frac=0.5)
+    """Register a trained model, then observe."""
+    _, feedback, _, trainer = workload
+    key = worker.register_model("orders", copy.deepcopy(trainer))
     for predicate, selectivity in feedback[20:32]:
         worker.observe(key, predicate, selectivity)
     worker.drain()
@@ -78,13 +78,8 @@ def _evidence(worker: ShardWorker, key: ModelKey, probes) -> dict:
     scope = str(key)
     return {
         "feedback_count": worker.feedback_count(key),
-        "champion_observed": service.export_trainer(key, serializer=_observed),
-        "challenger_observed": service.export_challenger(
-            key, serializer=_observed
-        ),
+        "trainer_observed": service.export_trainer(key, serializer=_observed),
         "drift_errors": service.drift_errors(key),
-        "challenger_errors": service.challenger_drift_errors(key),
-        "shadow_frac": service.challenger_shadow_frac(key),
         "backend_windows": {
             backend: window
             for (model, backend), window
@@ -98,17 +93,13 @@ def _evidence(worker: ShardWorker, key: ModelKey, probes) -> dict:
             if model == scope
         },
         "estimates": worker.estimate_batch(key, probes),
-        "challenger_estimates": worker.challenger_snapshot_for(
-            key
-        ).estimate_many(probes),
     }
 
 
 def _assert_same_evidence(got: dict, expected: dict) -> None:
-    for name in ("estimates", "challenger_estimates"):
-        assert np.max(np.abs(got[name] - expected[name])) <= PARITY, name
+    assert np.max(np.abs(got["estimates"] - expected["estimates"])) <= PARITY
     for name, value in expected.items():
-        if name not in ("estimates", "challenger_estimates"):
+        if name != "estimates":
             assert got[name] == value, name
 
 
@@ -182,18 +173,16 @@ def _via_checkpoint(workload, tmp_path):
 def test_every_field_arrives_equal(transport, workload, tmp_path):
     before, after = transport(workload, tmp_path)
     # The key really carried evidence of every kind.
-    assert before["drift_errors"] and before["challenger_errors"]
-    assert before["shadow_frac"] == 0.5
-    assert set(before["backend_windows"]) == {
-        "QuickSel", "QuickSel@challenger"
-    }
+    assert before["drift_errors"]
+    assert set(before["backend_windows"]) == {"QuickSel"}
     assert set(before["lifetime_totals"]) == set(before["backend_windows"])
     _assert_same_evidence(after, before)
 
 
 def test_checkpoint_without_leftovers_still_restores(workload, tmp_path):
     """A checkpoint file holding only the older checkpoint fields (no
-    ``leftovers``) boots a worker serving exactly what it captured."""
+    ``leftovers``, plus the legacy challenger fields) boots a worker
+    serving exactly what it captured."""
     source = ShardWorker("w0", policy=QUIET, scheduler_mode="inline")
     try:
         key = _load(source, workload)
@@ -203,54 +192,12 @@ def test_checkpoint_without_leftovers_still_restores(workload, tmp_path):
         source.close()
     CheckpointStore(tmp_path / "w1").save(
         {field: state[field] for field in CHECKPOINT_FIELDS}
+        | LEGACY_CHALLENGER_FIELDS
     )
     restored = WorkerServer(
         shard_id="w1", policy=QUIET, checkpoint_dir=str(tmp_path / "w1")
     )
     try:
         _assert_same_evidence(_evidence(restored.worker, key, workload[2]), before)
-    finally:
-        restored.close()
-
-
-def test_checkpoint_carries_the_challenger_mirror_backlog(workload, tmp_path):
-    """Feedback mirrored while a challenger refit holds its trainer lock
-    waits in the mirror backlog; a checkpoint must carry it."""
-    dataset, feedback, _, champion, _ = workload
-    directory = str(tmp_path / "w1")
-    server = WorkerServer(shard_id="w1", policy=QUIET, checkpoint_dir=directory)
-    try:
-        worker = server.worker
-        key = worker.register_model("orders", copy.deepcopy(champion))
-        worker.register_challenger(
-            key, QuickSel(dataset.domain, QuickSelConfig(random_seed=7))
-        )
-        for predicate, selectivity in feedback[20:23]:
-            worker.observe(key, predicate, selectivity)
-        holding = threading.Event()
-        release = threading.Event()
-
-        def hold_challenger_lock():
-            with worker.service._challenger_model(key).lock:
-                holding.set()
-                release.wait(timeout=10)
-
-        holder = threading.Thread(target=hold_challenger_lock)
-        holder.start()
-        assert holding.wait(timeout=10)
-        worker.observe(key, *feedback[23])
-        release.set()
-        holder.join(timeout=10)
-        assert not holder.is_alive()
-        assert server.checkpoint_key(key)
-        worker.drain()
-        expected = worker.service.export_challenger(key, serializer=_observed)
-    finally:
-        server.close()
-    assert expected == 4
-    restored = WorkerServer(shard_id="w1", policy=QUIET, checkpoint_dir=directory)
-    try:
-        service = restored.worker.service
-        assert service.export_challenger(key, serializer=_observed) == expected
     finally:
         restored.close()

@@ -246,7 +246,7 @@ class TestWorkerServerDirect:
         try:
             client = RemoteSelectivityService("127.0.0.1", server.port)
             with pytest.raises(RemoteTimeoutError):
-                client._call("ping", {"delay": 5.0}, timeout=0.15)
+                client._call("ping", {"delay": 1.0}, timeout=0.15)
             # The connection was dropped (a late reply would desync);
             # the next call redials and works.
             assert client.ping() == "pong"
@@ -557,7 +557,7 @@ class TestGatewayFaultPaths:
         with pytest.raises(RemoteTimeoutError):
             server.run(
                 server.gateway._links["w1"].call(
-                    "ping", {"delay": 5.0}, timeout=0.15
+                    "ping", {"delay": 1.0}, timeout=0.15
                 )
             )
         assert server.gateway.stats.counters()["timeouts"] == 1
