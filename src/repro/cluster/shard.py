@@ -64,16 +64,17 @@ class KeyState(TypedDict):
     ``trainer`` holds the backend as the exporting codec left it: the
     live object in process, bytes on the wire and on disk.
     ``feedback_count`` is how many observations the trainer had absorbed
-    when the state was taken.  The drift window, the per-backend error
-    windows and the lifetime error totals carry the evidence the refit
-    triggers rely on.  ``leftovers`` are observations a withdrawing
-    export found still buffered; a state without them (a checkpoint)
-    installs too.
+    when the state was taken.  The drift window carries the evidence
+    the drift trigger relies on, and the per-backend error windows the
+    key's served-error statistics.  ``leftovers`` are observations a
+    withdrawing export found still buffered; a state without them (a
+    checkpoint) installs too.
 
-    Checkpoint files written before the challenger role was removed also
-    carry ``challenger``, ``challenger_errors`` and ``shadow_frac``;
-    :meth:`ShardWorker.install_state` reads only the fields above, so
-    those are ignored.
+    Older checkpoint files also carry ``lifetime_totals`` (the lifetime
+    error ledger of a removed refit trigger) and, from before the
+    challenger role was removed, ``challenger``, ``challenger_errors``
+    and ``shadow_frac``; :meth:`ShardWorker.install_state` reads only
+    the fields above, so those are ignored.
     """
 
     key: ModelKey
@@ -81,7 +82,6 @@ class KeyState(TypedDict):
     feedback_count: int
     drift_errors: tuple[float, ...]
     backend_windows: dict[str, tuple[float, ...]]
-    lifetime_totals: dict[tuple[str, str], tuple[int, float]]
     leftovers: tuple[BufferedObservation, ...]
 
 
@@ -258,12 +258,6 @@ class ShardWorker:
                 in stats.backend_error_windows().items()
                 if model == scope
             },
-            "lifetime_totals": {
-                (model, backend): totals
-                for (model, backend), totals
-                in stats.lifetime_error_totals().items()
-                if model == scope
-            },
             "leftovers": (),
         }
         if withdraw:
@@ -283,10 +277,7 @@ class ShardWorker:
 
         ``refit_backlog=False`` republishes the exact model the state
         captured: a move or a restore never retrains, and unabsorbed
-        feedback stays pending toward this shard's refit policy.  The
-        lifetime totals are installed after the error windows are
-        replayed, because installing replaces and the replay would
-        otherwise be counted twice.
+        feedback stays pending toward this shard's refit policy.
         """
         key = state["key"]
         self.register_model(
@@ -298,8 +289,6 @@ class ShardWorker:
         stats = self.stats
         for backend, window in state["backend_windows"].items():
             stats.record_backend_errors(key, backend, window)
-        if state["lifetime_totals"]:
-            stats.absorb_lifetime_errors(state["lifetime_totals"])
         leftovers = state.get("leftovers", ())
         for observation in leftovers:
             self._buffer.append(key, observation)

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.exceptions import TrainingError
-from repro.kernels import decay_weights as _decay_weights_kernel
 
 __all__ = ["QuickSelConfig"]
 
 _VALID_SOLVERS = ("analytic", "projected_gradient", "scipy")
-_VALID_WINDOW_POLICIES = ("none", "sliding", "decayed")
+_VALID_WINDOW_POLICIES = ("none", "sliding")
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,6 @@ class QuickSelConfig:
             by this factor since the last rebuild; in between, centres are
             reused so the model size ``m`` stays fixed and refits stay
             incremental.
-        center_rebuild_every: additionally force a centre rebuild every
-            this many refits (None disables the cadence trigger).
         anchor_reservoir_capacity: size of the uniform reservoir of anchor
             points maintained across refits; centre rebuilds draw from the
             reservoir instead of re-sampling every observed region.  Keep
@@ -81,18 +76,11 @@ class QuickSelConfig:
             new rows in and the expired rows out (rank-k Cholesky
             downdates on the analytic path), so the cached row store —
             and per-refit cost — is bounded regardless of stream length,
-            and the model tracks distribution drift.  ``"decayed"``
-            additionally downweights the surviving window rows by
-            ``0.5 ** (age / decay_half_life)`` (age in observed
-            queries), so recent feedback dominates even inside the
-            window.
+            and the model tracks distribution drift.
         training_window: the number of most-recent observed queries the
-            sliding/decayed window keeps.  Required (>= 1) for those
-            policies; must be unset for ``"none"`` (a window that would
-            silently be ignored is a configuration error).
-        decay_half_life: queries after which a decayed-window row's
-            weight halves.  Required (> 0) for ``"decayed"``; must be
-            unset otherwise.
+            sliding window keeps.  Required (>= 1) for ``"sliding"``;
+            must be unset for ``"none"`` (a window that would silently
+            be ignored is a configuration error).
     """
 
     points_per_predicate: int = 10
@@ -108,11 +96,9 @@ class QuickSelConfig:
     random_seed: int | None = 0
     incremental_training: bool = True
     center_rebuild_factor: float = 2.0
-    center_rebuild_every: int | None = None
     anchor_reservoir_capacity: int = 8192
     window_policy: str = "none"
     training_window: int | None = None
-    decay_half_life: float | None = None
 
     def __post_init__(self) -> None:
         if self.points_per_predicate < 1:
@@ -135,8 +121,6 @@ class QuickSelConfig:
             raise TrainingError("regularization must be non-negative")
         if self.center_rebuild_factor < 1.0:
             raise TrainingError("center_rebuild_factor must be >= 1.0")
-        if self.center_rebuild_every is not None and self.center_rebuild_every < 1:
-            raise TrainingError("center_rebuild_every must be >= 1 when set")
         if self.anchor_reservoir_capacity < 1:
             raise TrainingError("anchor_reservoir_capacity must be >= 1")
         if self.window_policy not in _VALID_WINDOW_POLICIES:
@@ -147,49 +131,17 @@ class QuickSelConfig:
         if self.window_policy == "none":
             if self.training_window is not None:
                 raise TrainingError(
-                    "training_window requires window_policy 'sliding' or "
-                    "'decayed'"
+                    "training_window requires window_policy 'sliding'"
                 )
-            if self.decay_half_life is not None:
-                raise TrainingError(
-                    "decay_half_life requires window_policy 'decayed'"
-                )
-        else:
-            if self.training_window is None or self.training_window < 1:
-                raise TrainingError(
-                    f"window_policy {self.window_policy!r} requires "
-                    "training_window >= 1"
-                )
-            if self.window_policy == "decayed":
-                if self.decay_half_life is None or self.decay_half_life <= 0:
-                    raise TrainingError(
-                        "window_policy 'decayed' requires decay_half_life > 0"
-                    )
-            elif self.decay_half_life is not None:
-                raise TrainingError(
-                    "decay_half_life requires window_policy 'decayed'"
-                )
+        elif self.training_window is None or self.training_window < 1:
+            raise TrainingError(
+                "window_policy 'sliding' requires training_window >= 1"
+            )
 
     @property
     def windowed(self) -> bool:
         """True when the training stream is bounded by a window policy."""
         return self.window_policy != "none"
-
-    def decay_weights(self, ages: np.ndarray) -> np.ndarray:
-        """Per-row weights ``0.5 ** (age / decay_half_life)`` (decayed only).
-
-        ``ages`` is an array of non-negative ages in observed queries
-        (0 = the newest query).  Only meaningful under the decayed
-        policy; raises otherwise so callers cannot silently weight a
-        sliding window.
-        """
-        if self.window_policy != "decayed" or self.decay_half_life is None:
-            raise TrainingError(
-                "decay_weights is only defined for window_policy 'decayed'"
-            )
-        return _decay_weights_kernel(
-            np.asarray(ages, dtype=float), self.decay_half_life
-        )
 
     def subpopulation_budget(self, observed_queries: int) -> int:
         """Model size ``m`` for a given number of observed queries."""

@@ -26,23 +26,19 @@ assembled problem between refits:
   from the previous weight vector.
 
 **Streaming-window training** bounds all of this.  With
-``config.window_policy`` set to ``"sliding"`` or ``"decayed"``, the
-cached A/s rows live in a :class:`WindowedRowStore` whose capacity is
-``training_window`` query rows (plus the pinned default-query row): each
-refit folds the ``Δn`` new rows in *and the expired rows out* — a paired
-rank-k update+downdate on the cached factor
+``config.window_policy="sliding"``, the cached A/s rows live in a
+:class:`WindowedRowStore` whose capacity is ``training_window`` query
+rows (plus the pinned default-query row): each refit folds the ``Δn``
+new rows in *and the expired rows out* — a paired rank-k
+update+downdate on the cached factor
 (:meth:`~repro.solvers.linalg.CachedCholesky.modify_rows`), or a
 refactorisation from the surviving rows when the cost/condition gate
 says so — keeping ``G = Q + λAᵀA`` consistent with exactly the live
-window.  The decayed policy additionally scales the surviving rows by
-``0.5 ** (age / decay_half_life)`` before solving, so recent feedback
-dominates even inside the window; because every row's weight changes on
-every refit, the decayed analytic path always refactorises (still
-bounded: the gemm is ``O(window·m²)``).
+window.
 
 Numerical contract: whenever the analytic path refactorises (every
 centre rebuild, and every refit where the rank-k update is declined —
-which includes the whole small-``m`` regime and every decayed refit),
+which includes the whole small-``m`` regime),
 the normal matrix is recomputed from the cached live rows in one BLAS
 gemm, so the weights are *bitwise identical* to from-scratch training on
 the same subpopulations and the same (window of) queries.  On the
@@ -75,7 +71,6 @@ from repro.core.training import (
     validate_warm_start,
 )
 from repro.exceptions import SolverError, TrainingError
-from repro.kernels import decay_weights_into, get_arena
 from repro.solvers.linalg import CachedCholesky, regularized_solve, symmetrize
 from repro.solvers.projected_gradient import solve_projected_gradient
 from repro.solvers.scipy_qp import solve_constrained_qp
@@ -102,10 +97,9 @@ class FitReport:
             observed count when unwindowed.
         rebuilt_centers: True if the subpopulation centres were rebuilt.
         refactorized: True if the normal matrix was factorised from
-            scratch (analytic solver only: every rebuild, every decayed
-            refit, and incremental fits where the rank-k update was
-            declined; the iterative solvers never factorise, so always
-            False for them).
+            scratch (analytic solver only: every rebuild and incremental
+            fits where the rank-k update was declined; the iterative
+            solvers never factorise, so always False for them).
         build_seconds: wall-clock spent assembling rows/matrices.
         solve_seconds: wall-clock spent updating accumulators and solving.
     """
@@ -131,8 +125,8 @@ class FitReport:
 class WindowedRowStore:
     """A bounded (or unbounded) contiguous buffer of training rows.
 
-    The cached ``A`` matrix / ``s`` vector / birth-index vector all live
-    in one of these.  Two regimes:
+    The cached ``A`` matrix and ``s`` vector each live in one of these.
+    Two regimes:
 
     * ``window=None`` — the unbounded stream: rows only ever append, the
       buffer grows with amortised doubling (the PR 3 behaviour).
@@ -183,11 +177,6 @@ class WindowedRowStore:
         self._data = np.empty((capacity,) + arr.shape[1:])
         self._data[: arr.shape[0]] = arr
         self._count = arr.shape[0]
-
-    @property
-    def pinned(self) -> int:
-        """Rows at the front of the buffer that never expire."""
-        return self._pinned
 
     @property
     def window(self) -> int | None:
@@ -308,8 +297,6 @@ class IncrementalTrainer:
         self._Q_sym = np.zeros((0, 0))
         self._A: WindowedRowStore | None = None
         self._s: WindowedRowStore | None = None
-        # Absolute index of each live query row's query (decayed ages).
-        self._births: WindowedRowStore | None = None
         # The running normal-equation accumulator G = Q + λAᵀA.  Only the
         # projected-gradient solver reads it (as its precomputed gram), so
         # it is built lazily by that path's first solve and then kept
@@ -322,10 +309,7 @@ class IncrementalTrainer:
         self._trained = 0
         # Absolute index of the oldest query whose row is cached.
         self._window_start = 0
-        # Lifetime observed count of the fit in progress (decayed ages).
-        self._observed_latest = 0
         self._rebuild_observed = 0
-        self._fits_since_rebuild = 0
         self._chol.invalidate()
 
     # ------------------------------------------------------------------
@@ -414,7 +398,6 @@ class IncrementalTrainer:
             )
         if observed < self._trained or observed < self._anchored:
             self.invalidate()
-        self._observed_latest = observed
 
         build_start = time.perf_counter()
         if self._config.incremental_training and observed > self._anchored:
@@ -437,9 +420,6 @@ class IncrementalTrainer:
             # survives) so the next fit is a clean full rebuild.
             self._reset_problem_state()
             raise
-        self._fits_since_rebuild = (
-            0 if report.rebuilt_centers else self._fits_since_rebuild + 1
-        )
         self._last_report = report
         return report
 
@@ -466,9 +446,6 @@ class IncrementalTrainer:
         if not self._config.incremental_training:
             return True
         if self._subpopulations is None or self._A is None:
-            return True
-        every = self._config.center_rebuild_every
-        if every is not None and self._fits_since_rebuild + 1 >= every:
             return True
         if observed <= self._rebuild_observed:
             return False
@@ -576,11 +553,6 @@ class IncrementalTrainer:
         self._A = WindowedRowStore(problem.A, window=window, pinned=pinned)
         self._s = WindowedRowStore(problem.s, window=window, pinned=pinned)
         self._window_start = observed - window_len
-        if self._config.window_policy == "decayed":
-            births = np.arange(self._window_start, observed, dtype=float)
-            self._births = WindowedRowStore(births, window=window)
-        else:
-            self._births = None
         self._G = None
         self._chol.invalidate()
 
@@ -606,48 +578,32 @@ class IncrementalTrainer:
 
         solve_start = time.perf_counter()
         refactorized = False
-        decayed = self._config.window_policy == "decayed"
         if rows.shape[0] or evict:
             evicted_rows = self._A.evict(evict)
             self._s.evict(evict)
-            if self._births is not None:
-                self._births.evict(evict)
             self._A.append(rows)
             self._s.append(selectivities)
-            if self._births is not None:
-                self._births.append(
-                    np.arange(observed - rows.shape[0], observed, dtype=float)
-                )
             self._window_start = max(
                 self._window_start, observed - window_len
             )
             penalty = self._config.penalty
-            if decayed:
-                # Every surviving row's weight aged: the accumulator and
-                # factor are stale wholesale, not by a rank-k margin.
-                self._G = None
-                self._chol.invalidate()
-                result, refactorized = self._solve(refactorize=True)
-            else:
-                if self._G is not None:
-                    self._G += penalty * (rows.T @ rows)
-                    if evicted_rows.shape[0]:
-                        self._G -= penalty * (evicted_rows.T @ evicted_rows)
-                # Only the analytic solver keeps a factor; skip the scaled
-                # copies when no factor exists to modify (iterative
-                # solvers).  The update+downdate pair is priced as one
-                # decision against refactorising from the surviving rows.
-                scale = np.sqrt(penalty)
-                updated = self._chol.available and self._chol.modify_rows(
-                    rows * scale,
-                    evicted_rows * scale if evicted_rows.shape[0] else None,
-                    history_rows=len(self._A),
-                )
-                result, refactorized = self._solve(refactorize=not updated)
+            if self._G is not None:
+                self._G += penalty * (rows.T @ rows)
+                if evicted_rows.shape[0]:
+                    self._G -= penalty * (evicted_rows.T @ evicted_rows)
+            # Only the analytic solver keeps a factor; skip the scaled
+            # copies when no factor exists to modify (iterative solvers).
+            # The update+downdate pair is priced as one decision against
+            # refactorising from the surviving rows.
+            scale = np.sqrt(penalty)
+            updated = self._chol.available and self._chol.modify_rows(
+                rows * scale,
+                evicted_rows * scale if evicted_rows.shape[0] else None,
+                history_rows=len(self._A),
+            )
+            result, refactorized = self._solve(refactorize=not updated)
         elif self._last_result is not None:
-            # Nothing new: reuse the cached solution outright.  (Under
-            # the decayed policy no new queries means no age change
-            # either — ages are relative to the newest query.)
+            # Nothing new: reuse the cached solution outright.
             result = self._last_result
         else:
             result, refactorized = self._solve(refactorize=False)
@@ -684,35 +640,6 @@ class IncrementalTrainer:
     # ------------------------------------------------------------------
     # Internals: solving against the cached accumulators
     # ------------------------------------------------------------------
-    def _design_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The effective (A, s) the solvers see.
-
-        Identity views of the cached stores for the unwindowed and
-        sliding policies; under the decayed policy the live query rows
-        are scaled by ``sqrt(weight)`` (the pinned default-query row
-        keeps weight 1), which turns the penalised least squares into
-        the exponentially weighted problem.
-        """
-        A = self._A.array
-        s = self._s.array
-        if self._config.window_policy != "decayed":
-            return A, s
-        births = self._births.array
-        arena = get_arena()
-        ages = arena.request("incremental.ages", births.shape)
-        np.subtract(float(self._observed_latest - 1), births, out=ages)
-        scale = arena.request("incremental.scale", births.shape)
-        decay_weights_into(
-            ages, float(self._config.decay_half_life), scale
-        )
-        np.sqrt(scale, out=scale)
-        pinned = self._A.pinned
-        A = A.copy()
-        A[pinned:] *= scale[:, None]
-        s = s.copy()
-        s[pinned:] *= scale
-        return A, s
-
     def _solve(self, refactorize: bool) -> tuple[TrainingResult, bool]:
         solver = self._config.solver
         if solver == "analytic":
@@ -731,9 +658,6 @@ class IncrementalTrainer:
     def _finish(
         self, weights: np.ndarray, solver: str, iterations: int
     ) -> TrainingResult:
-        # The residual diagnostic stays on the *raw* rows even under the
-        # decayed policy: it reports worst-case constraint violation,
-        # not the (weighted) quantity the solver minimised.
         residual_vector = self._A.array @ weights - self._s.array
         residual = (
             float(np.abs(residual_vector).max()) if residual_vector.size else 0.0
@@ -751,11 +675,11 @@ class IncrementalTrainer:
     def _solve_analytic(self, refactorize: bool) -> tuple[TrainingResult, bool]:
         ridge = self._config.regularization * max(self._config.penalty, 1.0)
         penalty = self._config.penalty
-        A_eff, s_eff = self._design_matrices()
+        A = self._A.array
         # The right-hand side is recomputed exactly each solve — one
         # O(n·m) gemv — so the only quantity that can drift from the
         # from-scratch solution is the factor itself.
-        rhs = penalty * (A_eff.T @ s_eff)
+        rhs = penalty * (A.T @ self._s.array)
         refactorized = False
         if refactorize or not self._chol.available:
             # Refactorisation recomputes the normal matrix from the cached
@@ -764,9 +688,8 @@ class IncrementalTrainer:
             # the live window (same floats in, same factorisation).  Long
             # unbounded streams never come through here — the
             # history-priced cost gate keeps them on the O(Δn·m²)
-            # cholupdate path; the decayed policy always does (its n is
-            # bounded by the window).
-            exact = self._Q_sym + penalty * (A_eff.T @ A_eff)
+            # cholupdate path.
+            exact = self._Q_sym + penalty * (A.T @ A)
             try:
                 self._chol.factorize(exact, ridge=ridge)
                 refactorized = True
@@ -780,26 +703,26 @@ class IncrementalTrainer:
 
     def _solve_projected_gradient(self) -> TrainingResult:
         penalty = self._config.penalty
-        A_eff, s_eff = self._design_matrices()
+        A = self._A.array
+        s = self._s.array
         if self._G is None:
-            self._G = self._Q_sym + penalty * (A_eff.T @ A_eff)
+            self._G = self._Q_sym + penalty * (A.T @ A)
         pg = solve_projected_gradient(
             self._Q_sym,
-            A_eff,
-            s_eff,
+            A,
+            s,
             penalty=penalty,
             initial=self._warm_start(),
             gram=self._G,
-            rhs=penalty * (A_eff.T @ s_eff),
+            rhs=penalty * (A.T @ s),
         )
         return self._finish(pg.weights, "projected_gradient", pg.iterations)
 
     def _solve_scipy(self) -> TrainingResult:
-        A_eff, s_eff = self._design_matrices()
         sp = solve_constrained_qp(
             self._Q_sym,
-            A_eff,
-            s_eff,
+            self._A.array,
+            self._s.array,
             initial=self._warm_start(),
         )
         return self._finish(sp.weights, "scipy", sp.iterations)

@@ -107,7 +107,7 @@ class QuickSel:
         """The live training stream, oldest first.
 
         All feedback recorded so far under ``window_policy="none"``;
-        under a sliding/decayed window, the last ``training_window``
+        under the sliding window, the last ``training_window``
         observations — expired feedback is dropped eagerly so the
         estimator's memory is bounded by the window too, not just the
         trainer's row store.

@@ -1,6 +1,6 @@
 """The hot estimation kernels, on one NumPy backend.
 
-``repro.kernels`` hosts the three kernels the serving stack spends its
+``repro.kernels`` hosts the two kernels the serving stack spends its
 math time in:
 
 * :func:`intersection_volumes` — the box-intersection volume matrix
@@ -8,8 +8,7 @@ math time in:
 * :func:`weighted_overlap_estimates` — the shared estimation kernel:
   piece overlaps dotted with per-component ``weight/volume`` and summed
   back to owning predicates (mixture models *and* bucket histograms
-  reduce to exactly this form), and
-* :func:`decay_weights` — exponential row decay for windowed training.
+  reduce to exactly this form).
 
 They are vectorised NumPy (see :mod:`repro.kernels._reference`), in
 float64 throughout.  :func:`backend_report` names the backend and the
@@ -26,8 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels._reference import (
-    decay_weights,
-    decay_weights_into,
     intersection_volumes,
     intersection_volumes_into,
     weighted_overlap_estimates,
@@ -41,8 +38,6 @@ __all__ = [
     "intersection_volumes_into",
     "weighted_overlap_estimates",
     "weighted_overlap_estimates_into",
-    "decay_weights",
-    "decay_weights_into",
     "stack_pieces",
     "owners_array",
     "KernelArena",

@@ -23,8 +23,6 @@ __all__ = [
     "intersection_volumes_into",
     "weighted_overlap_estimates",
     "weighted_overlap_estimates_into",
-    "decay_weights",
-    "decay_weights_into",
 ]
 
 
@@ -139,19 +137,4 @@ def weighted_overlap_estimates_into(
     else:
         np.add.at(out, owners, piece_scratch)
         np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
-def decay_weights(ages: np.ndarray, half_life: float) -> np.ndarray:
-    """Exponential decay ``0.5 ** (age / half_life)`` per row age."""
-    return np.power(0.5, ages / half_life)
-
-
-def decay_weights_into(
-    ages: np.ndarray, half_life: float, out: np.ndarray
-) -> np.ndarray:
-    """Allocation-free :func:`decay_weights` into a caller buffer."""
-    np.divide(ages, half_life, out=out)
-    np.multiply(out, -1.0, out=out)
-    np.exp2(out, out=out)
     return out

@@ -2,7 +2,7 @@
 
 Query optimizers re-probe the same predicates many times during plan
 enumeration, so the service memoises ``(model key, model version,
-predicate) -> estimate``.  Two design points:
+predicate) -> estimate``.  Three design points:
 
 * **Version-scoped keys.**  The model version is part of the cache key,
   so a hot-swap can never serve a stale estimate even if invalidation
@@ -13,18 +13,6 @@ predicate) -> estimate``.  Two design points:
   hashable token from the predicate's structure (constraint dims and
   bounds) without lowering it to geometry, so a cache *hit* costs a dict
   lookup, not a region construction.
-* **Per-key capacity budgets.**  With ``per_key_capacity`` set, no single
-  model key may hold more than that many entries: a plan-enumeration
-  burst against one hot table evicts its *own* oldest entries instead of
-  flushing every other table's working set out of the shared LRU.
-* **Optional TTLs.**  With ``ttl_seconds`` set, entries expire that many
-  seconds after insertion.  There is no background sweeper thread:
-  expired entries are swept (via an amortised-O(1) deadline-ordered
-  deque) on reads, size queries, and — crucially — *before* any
-  capacity eviction, so a dead entry is never counted and never causes
-  a live entry's eviction; version-scoped keys already guarantee
-  correctness, a TTL just bounds how long a dead version's entries (or
-  entries for churning ad-hoc predicates) can squat in the LRU.
 * **Optional TinyLFU admission.**  With ``admission="tinylfu"``, a
   :class:`FrequencySketch` (count-min, 4-bit counters, periodic halving)
   gates entry to a full cache: a new key must have been looked up at
@@ -38,9 +26,8 @@ predicate) -> estimate``.  Two design points:
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict, deque
-from collections.abc import Callable, Hashable
+from collections import OrderedDict
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -109,10 +96,10 @@ def _model_key_of(key: Hashable) -> Hashable | None:
     predicate_token)`` 3-tuples with an integer version.  The arity and
     version check matter: predicate tokens themselves are 1–2-tuples
     (``("H", bytes)``, ``("T",)``) and constraint keys are 4-tuples, so
-    a bare token cached directly must *not* be bucketed under its first
-    element — a ``("H", ...)`` entry attributed to a phantom model key
-    ``"H"`` would be silently dropped by ``invalidate("H")`` and counted
-    against the wrong per-key budget.
+    a bare token cached directly must *not* be attributed to its first
+    element — a ``("H", ...)`` entry under a phantom model key ``"H"``
+    would be silently dropped by ``invalidate("H")`` and counted by
+    ``entries_for("H")``.
     """
     if isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], int):
         return key[0]
@@ -188,152 +175,72 @@ class FrequencySketch:
 class EstimateCache:
     """A thread-safe LRU cache of selectivity estimates.
 
-    ``per_key_capacity`` (optional) bounds how many entries any one model
-    key may occupy.  When a model key is at its budget, its own least
-    recently used entry is evicted first, so one hot key cannot push
-    every other key's entries out of the global LRU.  Entries whose keys
-    are not ``(model_key, ...)`` tuples are exempt from the budget (they
-    only compete in the global LRU).
-
-    ``ttl_seconds`` (optional) expires entries that many seconds after
-    insertion.  Expired entries are swept *before* they can influence
-    anything observable: they are excluded from :meth:`__len__` and
-    :meth:`entries_for`, and a full cache sweeps its expired entries
-    before evicting any live one — a dead entry never squats in capacity
-    while a live entry gets pushed out.  The sweep is O(1) amortised: a
-    deadline-ordered deque (insertion order equals deadline order, the
-    TTL is constant) is popped from the front; no background thread.
-
     ``admission="tinylfu"`` puts a TinyLFU frequency filter in front of
-    the LRU: at global capacity a *new* key is admitted only if its
-    recent lookup frequency (a :class:`FrequencySketch`, incremented on
-    every ``get`` — hits and misses alike) is at least 2 and exceeds
-    the LRU victim's.  One-pass scans — plan enumeration over thousands
-    of never-repeated predicates — then bounce off the filter instead
-    of flushing the hot working set.
+    the LRU: at capacity a *new* key is admitted only if its recent
+    lookup frequency (a :class:`FrequencySketch`, incremented on every
+    ``get`` — hits and misses alike) is at least 2 and exceeds the LRU
+    victim's.  One-pass scans — plan enumeration over thousands of
+    never-repeated predicates — then bounce off the filter instead of
+    flushing the hot working set.
     Default is plain LRU admission.
-
-    ``clock`` (default :func:`time.monotonic`) is injectable for
-    deterministic TTL tests.
     """
 
     def __init__(
         self,
         capacity: int = 4096,
-        per_key_capacity: int | None = None,
-        ttl_seconds: float | None = None,
         admission: str | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if capacity < 1:
             raise ServingError("cache capacity must be at least 1")
-        if per_key_capacity is not None and per_key_capacity < 1:
-            raise ServingError("per_key_capacity must be at least 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ServingError("ttl_seconds must be positive when set")
         if admission not in (None, "lru", "tinylfu"):
             raise ServingError(
                 f"unknown admission policy {admission!r}; "
                 "expected None, 'lru', or 'tinylfu'"
             )
         self._capacity = capacity
-        self._per_key_capacity = per_key_capacity
-        self._ttl_seconds = ttl_seconds
-        self._clock = clock
         self._sketch = (
             FrequencySketch(capacity) if admission == "tinylfu" else None
         )
         self._lock = threading.Lock()
-        # Values are floats, or (value, expiry-deadline) pairs when a TTL
-        # is configured; the unbudgeted, un-TTL'd cache keeps the PR 1
-        # memory footprint.
-        self._entries: "OrderedDict[Hashable, float | tuple[float, float]]" = (
-            OrderedDict()
-        )
-        # (deadline, key) records in deadline order (TTL is constant, so
-        # append order == deadline order).  A record is stale when its
-        # key was since evicted or re-put (the entry's stored deadline is
-        # the ground truth); the sweep skips those.
-        self._expiry: "deque[tuple[float, Hashable]]" = deque()
-        # model key -> its cache keys in LRU order (an OrderedDict used
-        # as an ordered set).  Maintained only when a per-key budget is
-        # configured; the unbudgeted cache keeps the PR 1 behaviour and
-        # memory footprint.
-        self._buckets: dict[Hashable, "OrderedDict[Hashable, None]"] = {}
+        self._entries: "OrderedDict[Hashable, float]" = OrderedDict()
 
     @property
     def capacity(self) -> int:
         """Maximum number of cached estimates."""
         return self._capacity
 
-    @property
-    def per_key_capacity(self) -> int | None:
-        """Maximum entries any single model key may hold (None: unbounded)."""
-        return self._per_key_capacity
-
-    @property
-    def ttl_seconds(self) -> float | None:
-        """Seconds an entry stays valid after insertion (None: forever)."""
-        return self._ttl_seconds
-
     def __len__(self) -> int:
         with self._lock:
-            self._sweep_expired()
             return len(self._entries)
 
     def entries_for(self, model_key: object) -> int:
-        """How many live cached estimates ``model_key`` currently holds."""
+        """How many cached estimates ``model_key`` currently holds."""
         with self._lock:
-            self._sweep_expired()
-            if self._per_key_capacity is not None:
-                bucket = self._buckets.get(model_key)
-                return 0 if bucket is None else len(bucket)
             return sum(1 for key in self._entries if _model_key_of(key) == model_key)
 
     def get(self, key: Hashable) -> float | None:
-        """Return the cached estimate, refreshing its recency; None on miss.
-
-        With a TTL configured, an entry past its deadline is evicted
-        here and reported as a miss — reads are an expiry checkpoint.
-        """
+        """Return the cached estimate, refreshing its recency; None on miss."""
         with self._lock:
             if self._sketch is not None:
                 self._sketch.increment(key)
-            entry = self._entries.get(key)
-            if entry is None:
+            value = self._entries.get(key)
+            if value is None:
                 return None
-            if self._ttl_seconds is not None:
-                value, deadline = entry
-                if self._clock() >= deadline:
-                    del self._entries[key]
-                    self._discard_from_bucket(key)
-                    return None
-            else:
-                value = entry
             self._entries.move_to_end(key)
-            if self._per_key_capacity is not None:
-                bucket = self._buckets.get(_model_key_of(key))
-                if bucket is not None and key in bucket:
-                    bucket.move_to_end(key)
             return value
 
     def put(self, key: Hashable, value: float) -> None:
         """Insert an estimate, evicting the least recently used if full.
 
-        Expired entries are swept *first*, so a dead entry can never
-        cause a live one's eviction.  Under TinyLFU admission, a new key
-        arriving at a full cache is admitted only if it was accessed at
-        least twice recently (a one-pass scan key is, by definition,
-        looked up once — it can never displace anything) AND its access
-        frequency beats the prospective LRU victim's.  Frequency is
-        counted by ``get`` (an access), not here: misses still count, so
-        a key that keeps coming back wins admission eventually.  Then:
-        the owning model key's own LRU entry is evicted while that key
-        is over its budget, and the global LRU while the cache is over
-        its total capacity.
+        Under TinyLFU admission, a new key arriving at a full cache is
+        admitted only if it was accessed at least twice recently (a
+        one-pass scan key is, by definition, looked up once — it can
+        never displace anything) AND its access frequency beats the
+        prospective LRU victim's.  Frequency is counted by ``get`` (an
+        access), not here: misses still count, so a key that keeps
+        coming back wins admission eventually.
         """
         with self._lock:
-            self._sweep_expired()
             if self._sketch is not None:
                 if (
                     key not in self._entries
@@ -345,50 +252,10 @@ class EstimateCache:
                         victim
                     ):
                         return
-            if self._ttl_seconds is not None:
-                deadline = self._clock() + self._ttl_seconds
-                self._entries[key] = (value, deadline)
-                self._expiry.append((deadline, key))
-            else:
-                self._entries[key] = value
+            self._entries[key] = value
             self._entries.move_to_end(key)
-            if self._per_key_capacity is not None:
-                model_key = _model_key_of(key)
-                if model_key is not None:
-                    bucket = self._buckets.setdefault(model_key, OrderedDict())
-                    bucket[key] = None
-                    bucket.move_to_end(key)
-                    while len(bucket) > self._per_key_capacity:
-                        victim, _ = bucket.popitem(last=False)
-                        self._entries.pop(victim, None)
             while len(self._entries) > self._capacity:
-                victim, _ = self._entries.popitem(last=False)
-                self._discard_from_bucket(victim)
-
-    def _sweep_expired(self) -> None:
-        """Evict every entry whose deadline has passed; caller holds the lock.
-
-        Amortised O(1): the expiry deque is deadline-ordered, so the
-        sweep pops from the front until it meets a live deadline.  A
-        popped record whose key was evicted or re-put since (the stored
-        deadline disagrees) is simply dropped — the re-put appended its
-        own record further back.
-        """
-        if self._ttl_seconds is None or not self._expiry:
-            return
-        now = self._clock()
-        entries = self._entries
-        expiry = self._expiry
-        while expiry:
-            deadline, key = expiry[0]
-            if deadline > now:
-                break
-            expiry.popleft()
-            entry = entries.get(key)
-            if entry is None or entry[1] != deadline:
-                continue
-            del entries[key]
-            self._discard_from_bucket(key)
+                self._entries.popitem(last=False)
 
     def invalidate(self, model_key: object) -> int:
         """Drop every entry belonging to ``model_key`` (on hot-swap).
@@ -398,11 +265,6 @@ class EstimateCache:
         evicted entries.
         """
         with self._lock:
-            bucket = self._buckets.pop(model_key, None)
-            if self._per_key_capacity is not None and bucket is not None:
-                for key in bucket:
-                    self._entries.pop(key, None)
-                return len(bucket)
             dead = [
                 key
                 for key in self._entries
@@ -416,15 +278,3 @@ class EstimateCache:
         """Drop everything (the frequency sketch keeps its history)."""
         with self._lock:
             self._entries.clear()
-            self._expiry.clear()
-            self._buckets.clear()
-
-    def _discard_from_bucket(self, key: Hashable) -> None:
-        """Remove an evicted entry from its bucket; caller holds the lock."""
-        if self._per_key_capacity is None:
-            return
-        bucket = self._buckets.get(_model_key_of(key))
-        if bucket is not None:
-            bucket.pop(key, None)
-            if not bucket:
-                self._buckets.pop(_model_key_of(key), None)

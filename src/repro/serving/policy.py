@@ -14,14 +14,6 @@ a (background) refit is due:
   observations, exceeds ``drift_threshold``.  This fires early under
   workload shift (the paper's Figure 7 scenario) even when the count
   trigger has not filled up.
-* **shift trigger** — the served model *got worse*: the recent-window
-  mean error exceeds ``drift_ratio`` times the key's **lifetime** mean
-  error (tracked by :class:`~repro.serving.stats.ServingStats`).  The
-  absolute drift trigger cannot see a distribution shift on a key whose
-  normal error sits well below ``drift_threshold``; the relative
-  trigger fires exactly when recent traffic stops looking like the
-  traffic the model was trained on, which is what lets a
-  streaming-window backend refit onto its window and track the shift.
 """
 
 from __future__ import annotations
@@ -38,10 +30,9 @@ __all__ = ["RefitDecision", "RefitPolicy"]
 class RefitDecision:
     """The policy's verdict plus a human-readable reason for metrics/logs.
 
-    ``trigger`` names which rule fired (``"count"``, ``"drift"`` for the
-    absolute threshold, ``"drift_shift"`` for the relative
-    lifetime-comparison trigger; empty when no refit is due) so the
-    serving stats can count drift-driven refits separately.
+    ``trigger`` names which rule fired (``"count"`` or ``"drift"``;
+    empty when no refit is due) so the serving stats can count
+    drift-driven refits separately.
     """
 
     refit: bool
@@ -65,22 +56,12 @@ class RefitPolicy:
             averages over.
         min_drift_observations: don't evaluate drift until at least this
             many errors are available (avoids firing on one bad query).
-        drift_ratio: shift trigger — refit when the recent-window mean
-            error exceeds this multiple of the key's lifetime mean error
-            (None disables the relative trigger, the default: it needs
-            the lifetime statistics the serving layer supplies).
-        min_lifetime_observations: don't evaluate the shift trigger until
-            the lifetime error statistic covers at least this many
-            observations (a young model's lifetime mean is too noisy to
-            divide by).
     """
 
     min_new_observations: int = 32
     drift_threshold: float = 0.1
     drift_window: int = 16
     min_drift_observations: int = 8
-    drift_ratio: float | None = None
-    min_lifetime_observations: int = 64
 
     def __post_init__(self) -> None:
         if self.min_new_observations < 1:
@@ -91,17 +72,11 @@ class RefitPolicy:
             raise ServingError("drift_window must be at least 1")
         if self.min_drift_observations < 1:
             raise ServingError("min_drift_observations must be at least 1")
-        if self.drift_ratio is not None and self.drift_ratio <= 1.0:
-            raise ServingError("drift_ratio must exceed 1.0 when set")
-        if self.min_lifetime_observations < 1:
-            raise ServingError("min_lifetime_observations must be at least 1")
 
     def decide(
         self,
         pending_observations: int,
         recent_errors: Sequence[float],
-        lifetime_error: float | None = None,
-        lifetime_observations: int = 0,
     ) -> RefitDecision:
         """Evaluate the triggers against the current feedback state.
 
@@ -109,11 +84,6 @@ class RefitPolicy:
             pending_observations: feedback recorded since the last publish.
             recent_errors: absolute ``|served - observed|`` errors, oldest
                 first; only the trailing ``drift_window`` entries are used.
-            lifetime_error: the key's lifetime mean absolute error (from
-                :meth:`~repro.serving.stats.ServingStats.lifetime_backend_error`);
-                None leaves the shift trigger dormant.
-            lifetime_observations: how many observations that lifetime
-                mean covers.
         """
         if pending_observations >= self.min_new_observations:
             return RefitDecision(
@@ -130,21 +100,5 @@ class RefitPolicy:
                     f"drift: mean |error| {mean_error:.4f} > "
                     f"{self.drift_threshold:.4f} over {len(window)} queries",
                     trigger="drift",
-                )
-            if (
-                self.drift_ratio is not None
-                and lifetime_error is not None
-                and lifetime_observations >= self.min_lifetime_observations
-                # A lifetime mean of ~0 would make any error "a shift";
-                # the absolute threshold owns that regime.
-                and lifetime_error > 0.0
-                and mean_error > self.drift_ratio * lifetime_error
-            ):
-                return RefitDecision(
-                    True,
-                    f"drift-shift: recent mean |error| {mean_error:.4f} > "
-                    f"{self.drift_ratio:.1f}x lifetime {lifetime_error:.4f} "
-                    f"over {len(window)} queries",
-                    trigger="drift_shift",
                 )
         return RefitDecision(False)

@@ -821,34 +821,13 @@ class SelectivityService:
         slot.pending += len(feedback)
         slot.errors.extend(errors)
         self._stats.record_backend_errors(slot.key, slot.label, errors)
-        lifetime_count, lifetime_mean = self._lifetime_evidence(
-            slot.key, slot.label
-        )
-        return self._policy.decide(
-            slot.pending,
-            slot.errors,
-            lifetime_error=lifetime_mean,
-            lifetime_observations=lifetime_count,
-        )
-
-    def _lifetime_evidence(self, key: object, backend: str) -> tuple[int, float]:
-        """The shift trigger's lifetime denominator, or nothing.
-
-        Only fetched when the policy can actually use it: with
-        ``drift_ratio`` unset (the default) this skips the extra stats
-        lock acquisition on the hot write path entirely.  The lifetime
-        mean includes the batch just recorded, like the drift window
-        does.
-        """
-        if self._policy.drift_ratio is None:
-            return 0, 0.0
-        return self._stats.lifetime_backend_error(key, backend)
+        return self._policy.decide(slot.pending, slot.errors)
 
     def _maybe_refit(self, key: ModelKey, decision: RefitDecision) -> bool:
         if not decision:
             return False
         self._stats.add("refits_triggered")
-        if decision.trigger in ("drift", "drift_shift"):
+        if decision.trigger == "drift":
             # Counted on top of refits_triggered: the ratio is the share
             # of refits forced by the model being wrong, not just stale.
             self._stats.add("drift_refits_triggered")

@@ -16,9 +16,10 @@ no external dependencies — :meth:`ServingStats.snapshot` returns a plain
 dict that callers can ship to whatever metrics system they run.
 
 Every observation's ``|served - true|`` error is also recorded under
-``(model key, backend name)``, so operators can read each key's served
-error straight off the stats, and fleet views can compare backends
-across keys.
+``(model key, backend name)``, in a window of the newest
+``BACKEND_ERROR_WINDOW`` errors, so operators can read each key's
+served error straight off the stats, and fleet views can compare
+backends across keys.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ class ServingStats(Counters):
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         # (model key string, backend name) -> recent |served - true| errors.
         self._backend_errors: dict[tuple[str, str], deque[float]] = {}
-        # (model key string, backend name) -> [count, error sum] over the
-        # backend's whole service lifetime — the denominator of the
-        # relative drift (shift) trigger.  Unlike the bounded windows
-        # above these never forget (except on hand-off/unregister).
-        self._lifetime_errors: dict[tuple[str, str], list[float]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -203,17 +199,13 @@ class ServingStats(Counters):
                 window = deque(maxlen=BACKEND_ERROR_WINDOW)
                 self._backend_errors[scope] = window
             window.extend(errors)
-            lifetime = self._lifetime_errors.setdefault(scope, [0, 0.0])
-            lifetime[0] += len(errors)
-            lifetime[1] += float(sum(errors))
 
     def forget_backend_errors(self, model: object) -> None:
         """Drop every backend-error window of a key (hand-off/unregister)."""
         name = str(model)
         with self._lock:
-            for store in (self._backend_errors, self._lifetime_errors):
-                for scope in [s for s in store if s[0] == name]:
-                    del store[scope]
+            for scope in [s for s in self._backend_errors if s[0] == name]:
+                del self._backend_errors[scope]
 
     def record_sandwich(self, source: str, clamped: str | None) -> None:
         """One sandwiched join estimate was served.
@@ -289,58 +281,6 @@ class ServingStats(Counters):
             for scope, window in self._backend_errors.items()
             if window
         }
-
-    def lifetime_backend_error(
-        self, model: object, backend: str
-    ) -> tuple[int, float]:
-        """``(count, mean |error|)`` over the backend's whole lifetime.
-
-        The shift trigger's denominator: the refit policy compares the
-        recent drift window against this to decide whether the key's
-        traffic stopped looking like what the model was trained on.
-        ``(0, 0.0)`` when nothing has been recorded.
-        """
-        with self._lock:
-            lifetime = self._lifetime_errors.get((str(model), backend))
-            if not lifetime or not lifetime[0]:
-                return 0, 0.0
-            return int(lifetime[0]), lifetime[1] / lifetime[0]
-
-    def lifetime_error_totals(self) -> dict[tuple[str, str], tuple[int, float]]:
-        """Raw per-(key, backend) lifetime ``(count, error sum)`` pairs.
-
-        Migration reads these before a hand-off and replays them into
-        the destination via :meth:`absorb_lifetime_errors`, so a moved
-        key's shift trigger keeps its full denominator history.
-        """
-        with self._lock:
-            return {
-                scope: (int(count), float(total))
-                for scope, (count, total) in self._lifetime_errors.items()
-                if count
-            }
-
-    def absorb_lifetime_errors(
-        self, totals: dict[tuple[object, str], tuple[int, float]]
-    ) -> None:
-        """Install migrated lifetime accumulators, replacing any local ones.
-
-        *Replace*, not add: the hand-off replays the bounded error
-        windows first (via :meth:`record_backend_errors`, which also
-        bumps the lifetime accumulators), and the source's totals
-        already contain those observations — adding would double-count
-        the window.
-        """
-        with self._lock:
-            for (model, backend), (count, total) in totals.items():
-                if count < 0 or not np.isfinite(total):
-                    raise ServingError(
-                        f"invalid lifetime error totals for {(model, backend)}"
-                    )
-                self._lifetime_errors[(str(model), backend)] = [
-                    int(count),
-                    float(total),
-                ]
 
     def snapshot(self) -> dict[str, object]:
         """Every counter plus derived metrics, from one :meth:`view`.

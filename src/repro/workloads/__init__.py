@@ -9,9 +9,8 @@
 * :mod:`repro.workloads.queries` — conjunctive range-predicate generators
   (random, sliding, fixed, and per-dataset templates).
 * :mod:`repro.workloads.shifts` — the data-drift scenario of Figure 5.
-* :mod:`repro.workloads.drift` — seeded drift-scenario generators
-  (abrupt shift, gradual rotation, recurring/seasonal mix) for
-  streaming-window training tests and benchmarks.
+* :mod:`repro.workloads.drift` — a seeded abrupt-shift drift stream
+  for streaming-window training tests and benchmarks.
 * :mod:`repro.workloads.joins` — skewed-key, filter-correlated join
   tables and join-query generators for the join-estimation benchmarks.
 """
@@ -21,8 +20,6 @@ from repro.workloads.drift import (
     AbruptShiftStream,
     DriftRegime,
     DriftStream,
-    RotatingDriftStream,
-    SeasonalDriftStream,
 )
 from repro.workloads.joins import (
     JoinQueryGenerator,
@@ -76,6 +73,4 @@ __all__ = [
     "DriftRegime",
     "DriftStream",
     "AbruptShiftStream",
-    "RotatingDriftStream",
-    "SeasonalDriftStream",
 ]

@@ -1,23 +1,16 @@
-"""Seeded drift-scenario generators for streaming-window training.
+"""A seeded drift-scenario generator for streaming-window training.
 
 :mod:`repro.workloads.shifts` reproduces the paper's Figure 5 schedule
 (correlation creeping up between query batches).  The streaming-window
-work needs more shapes of drift than that — and needs every test and
-benchmark to draw the *same* deterministic stream — so this module
-provides one small family of scenario generators built on the existing
-workload API (:class:`~repro.workloads.queries.RandomRangeQueryGenerator`
-predicates, exact selectivities against a generated dataset):
-
-* :class:`AbruptShiftStream` — the data distribution jumps from one
-  :class:`DriftRegime` to another at a known query index (the recovery
-  benchmark's scenario: how fast does the estimator's error come back
-  down after the jump?),
-* :class:`RotatingDriftStream` — gradual drift: the distribution's mean
-  rotates around the domain centre over the stream, so the model is
-  never exactly right and must keep tracking,
-* :class:`SeasonalDriftStream` — recurring drift: the stream cycles
-  through a fixed set of regimes (day/night, weekday/weekend), the
-  scenario where forgetting *too* fast hurts.
+work needs an abrupt distribution shift as well — and needs every test
+and benchmark to draw the *same* deterministic stream — so this module
+builds one on the existing workload API
+(:class:`~repro.workloads.queries.RandomRangeQueryGenerator` predicates,
+exact selectivities against a generated dataset):
+:class:`AbruptShiftStream` jumps the data distribution from one
+:class:`DriftRegime` to another at a known query index (the recovery
+benchmark's scenario: how fast does the estimator's error come back
+down after the jump?).
 
 Every stream is fully determined by its constructor arguments: one base
 standard-normal sample (drawn once from ``seed``) is re-shaped per
@@ -31,7 +24,6 @@ exactly what a served estimator observes under distribution drift.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -47,8 +39,6 @@ __all__ = [
     "DriftRegime",
     "DriftStream",
     "AbruptShiftStream",
-    "RotatingDriftStream",
-    "SeasonalDriftStream",
 ]
 
 
@@ -255,126 +245,3 @@ class AbruptShiftStream(DriftStream):
     def regime_at(self, index: int) -> DriftRegime:
         return self._before if index < self._shift_at else self._after
 
-
-class RotatingDriftStream(DriftStream):
-    """Gradual drift: the data mean rotates around the domain centre.
-
-    Query ``i`` sees a mean at angle ``2π·i/period`` on a circle of
-    ``radius`` around the centre (dimensions past the first two stay at
-    the centre).  ``granularity`` quantises the angle so the stream
-    passes through ``period / granularity`` distinct regimes per lap —
-    bounding the dataset cache while keeping the drift effectively
-    continuous.
-    """
-
-    def __init__(
-        self,
-        period: int,
-        radius: float = 0.25,
-        granularity: int = 16,
-        correlation: float = 0.0,
-        scale: float = 0.2,
-        dimension: int = 2,
-        rows: int = 20_000,
-        min_width: float = 0.15,
-        max_width: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            dimension=dimension,
-            rows=rows,
-            min_width=min_width,
-            max_width=max_width,
-            seed=seed,
-        )
-        if dimension < 2:
-            raise WorkloadError("rotation needs at least 2 dimensions")
-        if period < 2:
-            raise WorkloadError("period must be >= 2")
-        if not (0.0 < radius <= 0.5):
-            raise WorkloadError("radius must be in (0, 0.5]")
-        if granularity < 1 or granularity > period:
-            raise WorkloadError("granularity must be in [1, period]")
-        self._period = period
-        self._radius = radius
-        self._granularity = granularity
-        self._correlation = correlation
-        self._scale = scale
-
-    @property
-    def period(self) -> int:
-        """Queries per full rotation."""
-        return self._period
-
-    def regime_at(self, index: int) -> DriftRegime:
-        if index < 0:
-            raise WorkloadError("index must be non-negative")
-        # Quantise the *wrapped* index: laps then repeat exactly even
-        # when granularity does not divide period, and the number of
-        # distinct regimes (= cached datasets) stays ceil(period/gran).
-        wrapped = index % self._period
-        step = wrapped - wrapped % self._granularity
-        angle = 2.0 * math.pi * step / self._period
-        mean = [0.5] * self._dimension
-        mean[0] = 0.5 + self._radius * math.cos(angle)
-        mean[1] = 0.5 + self._radius * math.sin(angle)
-        return DriftRegime(
-            mean=tuple(mean),
-            correlation=self._correlation,
-            scale=self._scale,
-        )
-
-
-class SeasonalDriftStream(DriftStream):
-    """Recurring drift: the stream cycles through fixed regimes.
-
-    Queries ``[k·season_length, (k+1)·season_length)`` all see regime
-    ``k mod len(regimes)`` — the day/night pattern where a model that
-    forgets the previous season entirely keeps paying the re-learning
-    cost every cycle.
-    """
-
-    def __init__(
-        self,
-        regimes: Sequence[DriftRegime] | None = None,
-        season_length: int = 200,
-        dimension: int = 2,
-        rows: int = 20_000,
-        min_width: float = 0.15,
-        max_width: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            dimension=dimension,
-            rows=rows,
-            min_width=min_width,
-            max_width=max_width,
-            seed=seed,
-        )
-        if regimes is None:
-            regimes = (
-                DriftRegime(mean=(0.3,) * dimension, correlation=0.5),
-                DriftRegime(mean=(0.7,) * dimension, correlation=0.0),
-            )
-        regimes = tuple(regimes)
-        if len(regimes) < 2:
-            raise WorkloadError("seasonal drift needs at least 2 regimes")
-        if season_length < 1:
-            raise WorkloadError("season_length must be >= 1")
-        self._regimes = regimes
-        self._season_length = season_length
-
-    @property
-    def regimes(self) -> tuple[DriftRegime, ...]:
-        """The recurring regimes, in cycle order."""
-        return self._regimes
-
-    @property
-    def season_length(self) -> int:
-        """Queries per season before the next regime takes over."""
-        return self._season_length
-
-    def regime_at(self, index: int) -> DriftRegime:
-        if index < 0:
-            raise WorkloadError("index must be non-negative")
-        return self._regimes[(index // self._season_length) % len(self._regimes)]

@@ -10,15 +10,12 @@ Covers the contracts the TrainableBackend refactor makes:
   scalar and batched,
 * vectorised ``estimate_many`` overrides for ST-Holes / ISOMER /
   AutoHist match the scalar loop elementwise,
-* :class:`~repro.serving.cache.EstimateCache` TTL expiry on read,
 * the cluster: three backend families served behind one ring, and
   shard-migration hand-off of non-QuickSel backends (exact-snapshot
   parity).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -38,8 +35,8 @@ from repro.estimators import (
     TrainableBackend,
     as_backend,
 )
-from repro.exceptions import EstimatorError, ServingError
-from repro.serving import EstimateCache, RefitPolicy
+from repro.exceptions import EstimatorError
+from repro.serving import RefitPolicy
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
 
@@ -353,55 +350,6 @@ class TestServedParity:
         assert dest.snapshot_for(key).model is model
         source.close()
         dest.close()
-
-
-# ----------------------------------------------------------------------
-# EstimateCache TTL (satellite)
-# ----------------------------------------------------------------------
-class TestCacheTTL:
-    def test_entries_expire_on_read(self):
-        cache = EstimateCache(capacity=8, ttl_seconds=0.05)
-        cache.put(("k", 1, "p"), 0.5)
-        assert cache.get(("k", 1, "p")) == 0.5
-        time.sleep(0.06)
-        assert cache.get(("k", 1, "p")) is None
-        assert len(cache) == 0  # expired entry evicted by the read
-
-    def test_no_ttl_never_expires(self):
-        cache = EstimateCache(capacity=8)
-        cache.put(("k", 1, "p"), 0.5)
-        time.sleep(0.02)
-        assert cache.get(("k", 1, "p")) == 0.5
-        assert cache.ttl_seconds is None
-
-    def test_ttl_with_per_key_budget(self):
-        cache = EstimateCache(capacity=8, per_key_capacity=2, ttl_seconds=0.05)
-        cache.put(("k", 1, "a"), 0.1)
-        cache.put(("k", 1, "b"), 0.2)
-        cache.put(("k", 1, "c"), 0.3)  # evicts "a" under the budget
-        assert cache.entries_for("k") == 2
-        time.sleep(0.06)
-        assert cache.get(("k", 1, "b")) is None
-        assert cache.get(("k", 1, "c")) is None
-        assert cache.entries_for("k") == 0
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ServingError):
-            EstimateCache(ttl_seconds=0.0)
-        with pytest.raises(ServingError):
-            EstimateCache(ttl_seconds=-1.0)
-
-    def test_service_serves_correctly_with_ttl(self, world, make_service):
-        dataset, feedback, probes = world
-        trainer = QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
-        trainer.observe_many(feedback[:30], refit=True)
-        service = make_service(cache=EstimateCache(ttl_seconds=0.02))
-        key = service.register_model("t", trainer)
-        first = service.estimate_batch(key, probes)
-        time.sleep(0.03)
-        second = service.estimate_batch(key, probes)  # all re-computed
-        np.testing.assert_allclose(first, second, rtol=0, atol=PARITY)
-        service.close()
 
 
 # ----------------------------------------------------------------------

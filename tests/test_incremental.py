@@ -157,7 +157,7 @@ class TestAnchorReservoir:
             training_window=40,
             max_subpopulations=64,
             anchor_reservoir_capacity=50,
-            center_rebuild_every=1,
+            center_rebuild_factor=1.0,
         )
         model = QuickSel(domain, config)
         rng = np.random.default_rng(5)
@@ -376,18 +376,6 @@ class TestIncrementalTrainer:
         report = trainer.fit(queries[:40], rng)  # 40 >= 2 * 20
         assert not report.incremental and report.rebuilt_centers
         assert len(report.subpopulations) == 160  # budget follows n again
-
-    def test_rebuild_every_k_refits(self, unit_square, feedback_pool):
-        config = QuickSelConfig(
-            random_seed=0, center_rebuild_factor=1000.0, center_rebuild_every=3
-        )
-        trainer = IncrementalTrainer(unit_square, config)
-        rng = np.random.default_rng(0)
-        queries = observed(feedback_pool, unit_square)
-        flags = []
-        for upto in (20, 22, 24, 26, 28, 30, 32):
-            flags.append(trainer.fit(queries[:upto], rng).rebuilt_centers)
-        assert flags == [True, False, False, True, False, False, True]
 
     def test_rebuild_invalidates_cached_factor(self, unit_square, feedback_pool):
         """Regression: a centre rebuild must not solve with the stale factor."""

@@ -8,11 +8,9 @@ Covers the ISSUE 10 contracts:
   (regression: an endpoints-only check passed ``[0, 0, 2]``),
 * the :class:`~repro.kernels.arena.KernelArena` reuses buffers and is
   thread-local,
-* the :class:`~repro.serving.cache.EstimateCache` TTL accounting —
-  expired entries are excluded from counts and never evict live entries
-  (fake-clock regressions), ``_model_key_of`` no longer buckets foreign
-  tuple keys under their first element, TinyLFU admission is
-  scan-resistant,
+* the :class:`~repro.serving.cache.EstimateCache`: ``_model_key_of``
+  no longer attributes foreign tuple keys to their first element, and
+  TinyLFU admission is scan-resistant,
 * :class:`~repro.serving.service.FastSlot` parity with
   ``SelectivityService.estimate`` and its buffered stats accounting.
 """
@@ -38,8 +36,6 @@ from repro.estimators.stholes import STHoles
 from repro.exceptions import ServingError
 from repro.kernels import (
     KernelArena,
-    decay_weights,
-    decay_weights_into,
     get_arena,
     intersection_volumes,
     owners_array,
@@ -169,23 +165,6 @@ class TestKernelBackend:
         )
         assert got is out
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
-
-    def test_decay_weights_matches_closed_form(self):
-        ages = np.arange(20.0)
-        expected = 0.5 ** (ages / 7.0)
-        np.testing.assert_allclose(decay_weights(ages, 7.0), expected, atol=1e-12)
-        out = np.empty(20)
-        decay_weights_into(ages, 7.0, out)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_config_decay_weights_delegates_to_kernel(self):
-        config = QuickSelConfig(
-            window_policy="decayed", training_window=64, decay_half_life=5.0
-        )
-        ages = np.array([0.0, 5.0, 10.0])
-        np.testing.assert_allclose(
-            config.decay_weights(ages), [1.0, 0.5, 0.25], atol=1e-12
-        )
 
 
 class TestOwnersArray:
@@ -361,66 +340,12 @@ class TestCacheModelKeyOf:
         assert _model_key_of("plain") is None
 
     def test_raw_token_survives_unrelated_invalidate(self):
-        cache = EstimateCache(capacity=8, per_key_capacity=4)
+        cache = EstimateCache(capacity=8)
         token = ("H", b"\x01" * 16)
         cache.put(token, 0.25)
         assert cache.entries_for("H") == 0
         assert cache.invalidate("H") == 0
         assert cache.get(token) == pytest.approx(0.25)
-
-
-class TestCacheTTL:
-    def _make(self, **kwargs):
-        clock = {"now": 0.0}
-        cache = EstimateCache(clock=lambda: clock["now"], **kwargs)
-        return cache, clock
-
-    def test_expired_entries_leave_len_and_counts(self):
-        cache, clock = self._make(capacity=8, ttl_seconds=10.0)
-        service_key = (ModelKey("t"), 1, ("T",))
-        cache.put(service_key, 0.5)
-        assert len(cache) == 1
-        assert cache.entries_for(ModelKey("t")) == 1
-        clock["now"] = 10.0
-        assert len(cache) == 0
-        assert cache.entries_for(ModelKey("t")) == 0
-        assert cache.get(service_key) is None
-
-    def test_expired_entries_never_evict_live_ones(self):
-        """Regression: at put overflow the global LRU evicted the oldest
-        *live* entry while expired entries squatted in capacity."""
-        cache, clock = self._make(capacity=3, ttl_seconds=10.0)
-        cache.put("dead-1", 0.1)
-        cache.put("dead-2", 0.2)
-        clock["now"] = 5.0
-        cache.put("live", 0.3)
-        clock["now"] = 12.0  # dead-1/dead-2 expired, live is not
-        cache.put("new", 0.4)
-        assert cache.get("live") == pytest.approx(0.3)
-        assert cache.get("new") == pytest.approx(0.4)
-        assert len(cache) == 2
-
-    def test_re_put_refreshes_deadline(self):
-        cache, clock = self._make(capacity=4, ttl_seconds=10.0)
-        cache.put("k", 0.1)
-        clock["now"] = 8.0
-        cache.put("k", 0.2)  # fresh deadline at t=18
-        clock["now"] = 12.0  # original record expired, entry must live on
-        assert cache.get("k") == pytest.approx(0.2)
-        assert len(cache) == 1
-        clock["now"] = 18.0
-        assert cache.get("k") is None
-
-    def test_sweep_clears_per_key_buckets(self):
-        cache, clock = self._make(
-            capacity=8, per_key_capacity=4, ttl_seconds=5.0
-        )
-        key = (ModelKey("t"), 1, ("T",))
-        cache.put(key, 0.5)
-        clock["now"] = 6.0
-        assert cache.entries_for(ModelKey("t")) == 0
-        cache.put(key, 0.7)
-        assert cache.entries_for(ModelKey("t")) == 1
 
 
 class TestTinyLFU:

@@ -35,15 +35,16 @@ CHECKPOINT_FIELDS = (
     "trainer",
     "drift_errors",
     "backend_windows",
-    "lifetime_totals",
     "feedback_count",
 )
-# What every worker checkpoint also carried while the service had a
-# challenger role; restore must ignore these fields.
-LEGACY_CHALLENGER_FIELDS = {
+# What older worker checkpoints also carried: the challenger role's
+# fields and the removed shift trigger's lifetime error totals.
+# Restore must ignore these fields.
+LEGACY_FIELDS = {
     "challenger": None,
     "challenger_errors": (),
     "shadow_frac": 1.0,
+    "lifetime_totals": {("orders", "QuickSel"): (12, 0.5)},
 }
 
 
@@ -84,12 +85,6 @@ def _evidence(worker: ShardWorker, key: ModelKey, probes) -> dict:
             backend: window
             for (model, backend), window
             in worker.stats.backend_error_windows().items()
-            if model == scope
-        },
-        "lifetime_totals": {
-            backend: totals
-            for (model, backend), totals
-            in worker.stats.lifetime_error_totals().items()
             if model == scope
         },
         "estimates": worker.estimate_batch(key, probes),
@@ -175,14 +170,13 @@ def test_every_field_arrives_equal(transport, workload, tmp_path):
     # The key really carried evidence of every kind.
     assert before["drift_errors"]
     assert set(before["backend_windows"]) == {"QuickSel"}
-    assert set(before["lifetime_totals"]) == set(before["backend_windows"])
     _assert_same_evidence(after, before)
 
 
 def test_checkpoint_without_leftovers_still_restores(workload, tmp_path):
     """A checkpoint file holding only the older checkpoint fields (no
-    ``leftovers``, plus the legacy challenger fields) boots a worker
-    serving exactly what it captured."""
+    ``leftovers``, plus the legacy fields) boots a worker serving
+    exactly what it captured."""
     source = ShardWorker("w0", policy=QUIET, scheduler_mode="inline")
     try:
         key = _load(source, workload)
@@ -192,7 +186,7 @@ def test_checkpoint_without_leftovers_still_restores(workload, tmp_path):
         source.close()
     CheckpointStore(tmp_path / "w1").save(
         {field: state[field] for field in CHECKPOINT_FIELDS}
-        | LEGACY_CHALLENGER_FIELDS
+        | LEGACY_FIELDS
     )
     restored = WorkerServer(
         shard_id="w1", policy=QUIET, checkpoint_dir=str(tmp_path / "w1")

@@ -9,6 +9,7 @@ the full supervisor → checkpoint-restore → resync recovery path.
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import os
 import random
@@ -40,6 +41,7 @@ from repro.net import (
     equal_jitter,
     full_jitter,
 )
+from repro.net.gateway import _WorkerLink
 from repro.serving.registry import normalize_key
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
 from repro.workloads.synthetic import gaussian_dataset
@@ -523,6 +525,76 @@ class TestGatewayWriteBuffering:
         assert counters["buffered_writes_replayed"] == 5
         assert counters["lost_writes"] == 0
         assert counters["checkpoint_restores"] >= 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 6: resync_worker reads the worker's count while "
+            "an applied write's reply is in flight, so its gap is one "
+            "short and one acknowledged write is lost"
+        ),
+    )
+    def test_resync_counts_a_write_whose_reply_is_in_flight(
+        self, durable_fleet, workload, monkeypatch
+    ):
+        _, feedback, _, _ = workload
+        workers, server, client, owner, tmp = durable_fleet
+        base = client.feedback_count("orders")
+        for predicate, selectivity in feedback[:5]:
+            client.observe("orders", predicate, selectivity)
+        workers[owner].checkpoint_all()
+        for predicate, selectivity in feedback[5:7]:
+            client.observe("orders", predicate, selectivity)
+        workers[owner].close()
+        # As above: the newest durable state is the forced checkpoint, so
+        # the respawn boots 2 acknowledged writes short.
+        newest = sorted((tmp / owner).glob("*/ckpt-*.pkl"))[-1]
+        newest.unlink()
+        respawn = WorkerServer(
+            shard_id=owner, checkpoint_dir=str(tmp / owner)
+        )
+        respawn.start()
+        workers[owner] = respawn
+        client.set_worker_address(owner, "127.0.0.1", respawn.port)
+
+        applied = threading.Event()
+        release = threading.Event()
+        original = _WorkerLink.call
+
+        async def hold_first_observe_reply(
+            self, method, kwargs=None, timeout=None
+        ):
+            value = await original(self, method, kwargs, timeout)
+            if method == "observe" and not applied.is_set():
+                # The worker has applied this write; hold its reply in an
+                # executor so the gateway loop keeps serving.
+                applied.set()
+                await asyncio.get_running_loop().run_in_executor(
+                    None, release.wait, 30.0
+                )
+            return value
+
+        monkeypatch.setattr(_WorkerLink, "call", hold_first_observe_reply)
+        predicate, selectivity = feedback[7]
+        replies = []
+        writer = threading.Thread(
+            target=lambda: replies.append(
+                client.observe("orders", predicate, selectivity)
+            )
+        )
+        admin = connect(*server.address)
+        try:
+            writer.start()
+            assert applied.wait(30.0)
+            admin.resync_worker(owner)
+        finally:
+            release.set()
+            writer.join(timeout=30.0)
+            admin.close()
+        assert not writer.is_alive()
+        assert len(replies) == 1
+        # Every acknowledged write: 5 + 2 before the kill, 1 in flight.
+        assert client.feedback_count("orders") == base + 8
 
     def test_full_buffer_stops_acknowledging(self, workload):
         _, feedback, _, trainer = workload

@@ -13,15 +13,13 @@ Covers the contracts the streaming-window pipeline makes:
 * the windowed trainer's weights match from-scratch training on exactly
   the live window's queries to 1e-9 — bitwise on the refactorisation
   path — under arbitrary observe/observe_many/refit interleavings, with
-  the forced update+downdate path holding the same bar,
-* the decayed policy solves the exponentially weighted problem and
+  the forced update+downdate path holding the same bar, and the window
   favours recent feedback over conflicting old feedback,
-* serving: the relative drift (shift) trigger compares the recent error
-  window against the lifetime error, fires the
-  ``drift_refits_triggered`` counter, and a windowed backend recovers
-  from an abrupt distribution shift where the unbounded trainer stays
-  wrong; windows and lifetime error statistics migrate with their keys
-  across cluster resizes.
+* serving: the count and absolute drift triggers keep their labels, the
+  ``drift_refits_triggered`` counter reaches snapshots, a windowed
+  backend recovers from an abrupt distribution shift where the
+  unbounded trainer stays wrong, and windowed keys migrate with their
+  windows across cluster resizes.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.core.config import QuickSelConfig
 from repro.core.incremental import IncrementalTrainer, WindowedRowStore
 from repro.core.quicksel import QuickSel
 from repro.core.training import ObservedQuery, build_problem, solve
-from repro.exceptions import ServingError, SolverError, TrainingError
+from repro.exceptions import SolverError, TrainingError
 from repro.serving import RefitPolicy, ServingStats
 from repro.serving.stats import BACKEND_ERROR_WINDOW
 from repro.solvers.linalg import (
@@ -409,6 +407,24 @@ class TestWindowedTrainer:
                 observed_total=20,
             )
 
+    def test_recent_feedback_dominates_conflicting_old_feedback(
+        self, unit_square
+    ):
+        from repro.core.predicate import box_predicate
+
+        box = box_predicate([(0, 0.2, 0.5), (1, 0.2, 0.5)])
+        windowed = QuickSel(unit_square, sliding_config(window=30, m=16))
+        unbounded = QuickSel(
+            unit_square,
+            QuickSelConfig(random_seed=0, fixed_subpopulations=16),
+        )
+        for estimator in (windowed, unbounded):
+            estimator.observe_many([(box, 0.8)] * 30)
+            estimator.observe_many([(box, 0.2)] * 30, refit=True)
+        assert abs(windowed.estimate(box) - 0.2) < 0.1
+        # The unbounded trainer averages the conflict instead.
+        assert abs(unbounded.estimate(box) - 0.5) < 0.1
+
     @settings(
         max_examples=12,
         deadline=None,
@@ -459,128 +475,21 @@ class TestWindowedTrainer:
             np.testing.assert_array_equal(got, expected)
 
 
-# ----------------------------------------------------------------------
-# The decayed policy
-# ----------------------------------------------------------------------
-def decayed_config(window=64, half_life=16.0, m=32, **kwargs):
-    kwargs.setdefault("random_seed", 0)
-    return QuickSelConfig(
-        window_policy="decayed",
-        training_window=window,
-        decay_half_life=half_life,
-        fixed_subpopulations=m,
-        **kwargs,
-    )
-
-
-class TestDecayedWindow:
-    def test_weights_match_direct_weighted_solve(self, feedback_pool):
-        domain, feedback = feedback_pool
-        config = decayed_config()
-        estimator = QuickSel(domain, config)
-        for start in range(0, 200, 16):
-            estimator.observe_many(feedback[start : start + 16], refit=True)
-        trainer = estimator.trainer
-        A_eff, s_eff = trainer._design_matrices()
-        penalty = config.penalty
-        ridge = config.regularization * max(penalty, 1.0)
-        gram = trainer._Q_sym + penalty * (A_eff.T @ A_eff)
-        expected = regularized_solve(gram, penalty * (A_eff.T @ s_eff), ridge=ridge)
-        got = trainer.last_report.result.weights
-        assert np.abs(got - expected).max() <= WEIGHT_PARITY
-
-    def test_recent_feedback_dominates_conflicting_old_feedback(
-        self, unit_square
-    ):
-        from repro.core.predicate import box_predicate
-
-        box = box_predicate([(0, 0.2, 0.5), (1, 0.2, 0.5)])
-        decayed = QuickSel(
-            unit_square, decayed_config(window=64, half_life=8.0, m=16)
-        )
-        unbounded = QuickSel(
-            unit_square,
-            QuickSelConfig(random_seed=0, fixed_subpopulations=16),
-        )
-        for estimator in (decayed, unbounded):
-            estimator.observe_many([(box, 0.8)] * 30)
-            estimator.observe_many([(box, 0.2)] * 30, refit=True)
-        assert abs(decayed.estimate(box) - 0.2) < 0.1
-        # The unbounded trainer averages the conflict instead.
-        assert abs(unbounded.estimate(box) - 0.5) < 0.1
-
-    def test_no_new_feedback_reuses_the_solution(self, feedback_pool):
-        domain, feedback = feedback_pool
-        estimator = QuickSel(domain, decayed_config())
-        estimator.observe_many(feedback[:64], refit=True)
-        first = estimator.trainer.last_report.result
-        estimator.refit()
-        assert estimator.trainer.last_report.result is first
-
-    def test_config_validation(self):
-        with pytest.raises(TrainingError):
-            QuickSelConfig(window_policy="decayed", training_window=32)
-        with pytest.raises(TrainingError):
-            QuickSelConfig(
-                window_policy="sliding",
-                training_window=32,
-                decay_half_life=8.0,
-            )
-        with pytest.raises(TrainingError):
-            QuickSelConfig(window_policy="sliding")
-        with pytest.raises(TrainingError):
-            QuickSelConfig(training_window=32)
-        with pytest.raises(TrainingError):
-            QuickSelConfig(window_policy="everything")
-        config = decayed_config()
-        with pytest.raises(TrainingError):
-            QuickSelConfig().decay_weights(np.zeros(3))
-        np.testing.assert_allclose(
-            config.decay_weights(np.array([0.0, 16.0, 32.0])),
-            [1.0, 0.5, 0.25],
-        )
+def test_window_config_validation():
+    with pytest.raises(TrainingError):
+        QuickSelConfig(window_policy="sliding")
+    with pytest.raises(TrainingError):
+        QuickSelConfig(training_window=32)
+    with pytest.raises(TrainingError):
+        QuickSelConfig(window_policy="everything")
+    with pytest.raises(TrainingError):
+        QuickSelConfig(window_policy="decayed", training_window=32)
 
 
 # ----------------------------------------------------------------------
-# The relative drift (shift) trigger
+# Refit triggers and their counters
 # ----------------------------------------------------------------------
-class TestShiftTrigger:
-    def policy(self, **kwargs):
-        kwargs.setdefault("min_new_observations", 1_000)
-        kwargs.setdefault("drift_threshold", 1.0)
-        kwargs.setdefault("drift_window", 8)
-        kwargs.setdefault("min_drift_observations", 4)
-        kwargs.setdefault("drift_ratio", 3.0)
-        kwargs.setdefault("min_lifetime_observations", 32)
-        return RefitPolicy(**kwargs)
-
-    def test_fires_on_recent_vs_lifetime_blowup(self):
-        policy = self.policy()
-        decision = policy.decide(
-            4, [0.3] * 8, lifetime_error=0.05, lifetime_observations=100
-        )
-        assert decision and decision.trigger == "drift_shift"
-        assert "lifetime" in decision.reason
-
-    def test_quiet_without_lifetime_evidence(self):
-        policy = self.policy()
-        assert not policy.decide(4, [0.3] * 8)
-        assert not policy.decide(
-            4, [0.3] * 8, lifetime_error=0.05, lifetime_observations=10
-        )
-        assert not policy.decide(
-            4, [0.3] * 8, lifetime_error=0.0, lifetime_observations=100
-        )
-        assert not policy.decide(
-            4, [0.12] * 8, lifetime_error=0.05, lifetime_observations=100
-        )
-
-    def test_disabled_by_default(self):
-        policy = RefitPolicy(min_new_observations=1_000, drift_threshold=1.0)
-        assert not policy.decide(
-            4, [0.9] * 16, lifetime_error=0.01, lifetime_observations=1_000
-        )
-
+class TestRefitTriggers:
     def test_count_and_absolute_triggers_keep_their_labels(self):
         policy = RefitPolicy(min_new_observations=4)
         assert policy.decide(4, []).trigger == "count"
@@ -591,12 +500,6 @@ class TestShiftTrigger:
         ).decide(1, [0.5] * 8)
         assert drifted.trigger == "drift"
 
-    def test_validation(self):
-        with pytest.raises(ServingError):
-            RefitPolicy(drift_ratio=0.5)
-        with pytest.raises(ServingError):
-            RefitPolicy(min_lifetime_observations=0)
-
     def test_drift_refit_counter_lands_in_snapshots(self):
         stats = ServingStats()
         stats.add("refits_triggered")
@@ -604,31 +507,16 @@ class TestShiftTrigger:
         assert stats.counters()["drift_refits_triggered"] == 1
         assert stats.snapshot()["drift_refits_triggered"] == 1
 
-    def test_stats_lifetime_accumulators(self):
+    def test_stats_error_window_keeps_the_newest(self):
         stats = ServingStats()
         recorded = BACKEND_ERROR_WINDOW + 6
         stats.record_backend_errors("k", "QuickSel", [0.1] * recorded)
-        count, mean = stats.lifetime_backend_error("k", "QuickSel")
-        assert count == recorded and mean == pytest.approx(0.1)
-        # The bounded window forgot some of those; the lifetime didn't.
         assert (
             len(stats.backend_error_windows()[("k", "QuickSel")])
             == BACKEND_ERROR_WINDOW
         )
-        totals = stats.lifetime_error_totals()
-        assert totals[("k", "QuickSel")] == (
-            recorded,
-            pytest.approx(0.1 * recorded),
-        )
-        replica = ServingStats()
-        replica.record_backend_errors("k", "QuickSel", [0.1] * 4)
-        replica.absorb_lifetime_errors(totals)
-        assert replica.lifetime_backend_error("k", "QuickSel") == (
-            recorded,
-            pytest.approx(0.1),
-        )
         stats.forget_backend_errors("k")
-        assert stats.lifetime_backend_error("k", "QuickSel") == (0, 0.0)
+        assert ("k", "QuickSel") not in stats.backend_error_windows()
 
 
 # ----------------------------------------------------------------------
@@ -654,8 +542,6 @@ def drift_serving_run(windowed: bool):
         drift_threshold=1.0,  # absolute trigger effectively off
         drift_window=16,
         min_drift_observations=8,
-        drift_ratio=2.5,
-        min_lifetime_observations=48,
     )
     service = SelectivityService(
         policy=policy, scheduler=RefitScheduler("inline")
@@ -663,7 +549,6 @@ def drift_serving_run(windowed: bool):
     key = service.register_model("drifting", backend)
     for predicate, selectivity in stream.labelled(PRE_SHIFT - 256):
         service.observe(key, predicate, selectivity)
-    drift_triggers_before_shift = service.stats.drift_refits_triggered
     error_before_shift = float(
         np.mean(
             [
@@ -674,19 +559,12 @@ def drift_serving_run(windowed: bool):
     )
     for predicate, selectivity in stream.labelled(POST_SHIFT):
         service.observe(key, predicate, selectivity)
-    drift_triggers_after_shift = service.stats.drift_refits_triggered
     error_after_shift = float(
         np.mean(
             [abs(service.estimate(key, p) - s) for p, s in stream.probes(80)]
         )
     )
-    return {
-        "drift_triggers_before": drift_triggers_before_shift,
-        "drift_triggers_after": drift_triggers_after_shift,
-        "error_before": error_before_shift,
-        "error_after": error_after_shift,
-        "refits": service.stats.refits_completed,
-    }
+    return {"error_before": error_before_shift, "error_after": error_after_shift}
 
 
 class TestServingUnderDrift:
@@ -705,21 +583,12 @@ class TestServingUnderDrift:
         assert windowed["error_after"] < 0.05
         assert windowed["error_after"] < unbounded["error_after"] / 2
 
-    def test_drift_triggered_refits_actually_fire(self, runs):
-        windowed, unbounded = runs
-        # Quiet before the shift, firing after it — on both services (the
-        # trigger watches serving error, not the backend's window policy).
-        assert windowed["drift_triggers_before"] == 0
-        assert windowed["drift_triggers_after"] >= 1
-        assert unbounded["drift_triggers_after"] >= 1
-        assert windowed["refits"] >= windowed["drift_triggers_after"]
-
 
 # ----------------------------------------------------------------------
 # Cluster: windows migrate with their keys
 # ----------------------------------------------------------------------
 class TestClusterWindowMigration:
-    def test_windowed_key_migrates_with_window_and_lifetime_errors(self):
+    def test_windowed_key_migrates_with_its_window(self):
         import copy
 
         from repro.cluster import ShardedSelectivityService
@@ -744,12 +613,6 @@ class TestClusterWindowMigration:
         before = {
             t: cluster.estimate_batch(t, probes).tolist() for t in tables
         }
-        lifetime_before = {
-            t: cluster.shard(placements[t]).stats.lifetime_backend_error(
-                cluster.key_for(t), "QuickSel"
-            )
-            for t in tables
-        }
         cluster.add_shard()
         moved = [t for t in tables if cluster.shard_for(t) != placements[t]]
         assert moved, "no key moved; the ring should reassign some keys"
@@ -758,13 +621,6 @@ class TestClusterWindowMigration:
                 cluster.estimate_batch(table, probes), before[table]
             )
         for table in moved:
-            shard = cluster.shard(cluster.shard_for(table))
-            key = cluster.key_for(table)
-            # Lifetime error accumulators moved intact (count AND mean —
-            # the bounded window alone cannot reconstruct the count).
-            assert shard.stats.lifetime_backend_error(key, "QuickSel") == (
-                pytest.approx(lifetime_before[table])
-            )
             # The windowed trainer itself moved: feedback count is the
             # lifetime count, and the next refit still trains windowed.
             assert cluster.feedback_count(table) == 100

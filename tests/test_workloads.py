@@ -18,12 +18,7 @@ from repro.workloads.queries import (
     labelled_feedback,
     select_with_min_selectivity,
 )
-from repro.workloads.drift import (
-    AbruptShiftStream,
-    DriftRegime,
-    RotatingDriftStream,
-    SeasonalDriftStream,
-)
+from repro.workloads.drift import AbruptShiftStream, DriftRegime
 from repro.workloads.shifts import CorrelationDriftScenario
 from repro.workloads.synthetic import correlation_matrix, gaussian_dataset
 
@@ -219,7 +214,7 @@ class TestDriftStreams:
             )
 
     def test_labels_stay_valid_selectivities(self):
-        stream = SeasonalDriftStream(season_length=25, rows=self.ROWS, seed=3)
+        stream = AbruptShiftStream(shift_at=25, rows=self.ROWS, seed=3)
         feedback = stream.labelled(75)
         assert len(feedback) == 75
         assert stream.position == 75
@@ -250,34 +245,6 @@ class TestDriftStreams:
         }
         assert not trained & probed
 
-    def test_rotation_is_periodic_and_moves(self):
-        stream = RotatingDriftStream(period=80, granularity=8, rows=self.ROWS, seed=2)
-        assert stream.regime_at(0) == stream.regime_at(80)
-        assert stream.regime_at(0) != stream.regime_at(40)
-        # Quantised but gradually moving means.
-        means = [stream.regime_at(i).mean for i in range(0, 80, 8)]
-        assert len(set(means)) == 10
-
-    def test_rotation_period_need_not_divide_by_granularity(self):
-        """Regression: laps must repeat exactly (and the regime cache stay
-        at ceil(period/granularity)) when granularity ∤ period."""
-        stream = RotatingDriftStream(
-            period=70, granularity=16, rows=self.ROWS, seed=2
-        )
-        for index in range(0, 140):
-            assert stream.regime_at(index) == stream.regime_at(index + 70)
-        distinct = {stream.regime_at(i) for i in range(140)}
-        assert len(distinct) == 5  # ceil(70 / 16)
-
-    def test_seasonal_cycle_repeats_labels(self):
-        stream = SeasonalDriftStream(season_length=30, rows=self.ROWS, seed=4)
-        probes = [p for p, _ in stream.probes(20, index=0)]
-        season_a = stream.truth(probes, index=0)
-        season_b = stream.truth(probes, index=30)
-        season_a_again = stream.truth(probes, index=60)
-        np.testing.assert_array_equal(season_a, season_a_again)
-        assert float(np.mean(np.abs(season_a - season_b))) > 0.05
-
     def test_invalid_parameters(self):
         with pytest.raises(WorkloadError):
             AbruptShiftStream(shift_at=0)
@@ -288,16 +255,6 @@ class TestDriftStreams:
             DriftRegime(mean=(1.5, 0.5))
         with pytest.raises(WorkloadError):
             DriftRegime(mean=(0.5, 0.5), scale=0.0)
-        with pytest.raises(WorkloadError):
-            RotatingDriftStream(period=1)
-        with pytest.raises(WorkloadError):
-            RotatingDriftStream(period=10, radius=0.9)
-        with pytest.raises(WorkloadError):
-            RotatingDriftStream(period=10, granularity=11)
-        with pytest.raises(WorkloadError):
-            SeasonalDriftStream(regimes=[DriftRegime(mean=(0.5, 0.5))])
-        with pytest.raises(WorkloadError):
-            SeasonalDriftStream(season_length=0)
         with pytest.raises(WorkloadError):
             # Regime dimensionality must match the stream's.
             AbruptShiftStream(
