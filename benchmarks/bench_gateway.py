@@ -47,9 +47,13 @@ import argparse
 import copy
 import json
 import multiprocessing
+import os
+import platform
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -573,6 +577,30 @@ def run_saturation_sweep(
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
+def host_fingerprint(quick: bool) -> dict[str, object]:
+    """Cores, Python, NumPy, source version and run kind of a result."""
+
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(
+                ["git", "-C", str(Path(__file__).resolve().parent), *args],
+                capture_output=True, text=True, timeout=30, check=True,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout.strip()
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "run": "quick" if quick else "full",
+    }
+
+
 def run_gateway_benchmark(quick: bool = False) -> dict[str, object]:
     if quick:
         # CI smoke: 2-worker fleet, parity asserted, timing bars skipped —
@@ -609,6 +637,7 @@ def run_gateway_benchmark(quick: bool = False) -> dict[str, object]:
         isolation = run_refit_isolation_benchmark()
         saturation = run_saturation_sweep()
     return {
+        "host": host_fingerprint(quick),
         "throughput": throughput,
         "reads_during_remote_refit": isolation,
         "saturation_sweep": saturation,

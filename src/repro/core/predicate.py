@@ -24,7 +24,9 @@ the baseline estimators need.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +41,8 @@ __all__ = [
     "Predicate",
     "TruePredicate",
     "BoxPredicate",
+    "BoxBatch",
+    "box_rows",
     "Conjunction",
     "Disjunction",
     "Negation",
@@ -87,13 +91,21 @@ class RangeConstraint(Constraint):
             raise PredicateError(
                 "a range constraint needs at least one finite bound"
             )
-        if low is not None and high is not None and float(low) > float(high):
+        low = None if low is None else float(low)
+        high = None if high is None else float(high)
+        # Lowering would read a NaN side as open (``max(edge, nan)`` is
+        # ``edge``) while ``matches`` selects no row: refuse it.
+        if (low is not None and math.isnan(low)) or (
+            high is not None and math.isnan(high)
+        ):
+            raise PredicateError("range constraint bounds must not be NaN")
+        if low is not None and high is not None and low > high:
             raise PredicateError(
                 f"range constraint lower bound {low} exceeds upper bound {high}"
             )
         self._dim = int(dim)
-        self.low = None if low is None else float(low)
-        self.high = None if high is None else float(high)
+        self.low = low
+        self.high = high
 
     @property
     def dim(self) -> int:
@@ -136,11 +148,19 @@ class EqualityConstraint(Constraint):
     def __init__(self, dim: int, value: float, width: float = 1.0) -> None:
         if dim < 0:
             raise PredicateError("dimension index must be non-negative")
+        value, width = float(value), float(width)
+        # NaN if value or width is NaN, and for -inf + inf: the range
+        # [value, value + width) must be defined (see RangeConstraint).
+        if math.isnan(value + width):
+            raise PredicateError(
+                f"equality constraint range [{value}, {value} + {width}) "
+                "is undefined"
+            )
         if width < 0:
             raise PredicateError("width must be non-negative")
         self._dim = int(dim)
-        self.value = float(value)
-        self.width = float(width)
+        self.value = value
+        self.width = width
 
     @property
     def dim(self) -> int:
@@ -269,6 +289,124 @@ class BoxPredicate(Predicate):
 
     def __repr__(self) -> str:
         return f"BoxPredicate({list(self.constraints)!r})"
+
+
+_INF = float("inf")
+#: Bytes in one ``[dim, low, high]`` float64 row.
+_ROW_BYTES = 3 * 8
+
+
+def box_rows(predicate: object) -> bytes | None:
+    """The float rows of a plain box predicate, as bytes; None otherwise.
+
+    One float64 ``[dim, low, high]`` row per constraint, in constraint
+    order and native byte order (the bytes of the same rows as a NumPy
+    array).  An open side is ``-inf``/``+inf``, and
+    ``EqualityConstraint(dim, v, w)`` is ``[dim, v, v + w]``: the
+    interval its lowering clips to the domain, so equal rows lower to
+    equal bounds.  Returns None unless ``predicate`` is exactly a
+    :class:`BoxPredicate` whose constraints are all exactly
+    :class:`RangeConstraint` or :class:`EqualityConstraint`; a subclass
+    could lower differently.
+
+    This is the one identity of a box predicate: :meth:`BoxBatch.pack`
+    ships these rows, and the estimate cache keys on them.
+    """
+    if type(predicate) is not BoxPredicate:
+        return None
+    flat: list[float] = []
+    for constraint in predicate.constraints:
+        kind = type(constraint)
+        if kind is RangeConstraint:
+            low, high = constraint.low, constraint.high
+            flat += (
+                constraint._dim,
+                -_INF if low is None else low,
+                _INF if high is None else high,
+            )
+        elif kind is EqualityConstraint:
+            value = constraint.value
+            flat += (constraint._dim, value, value + constraint.width)
+        else:
+            return None
+    return array("d", flat).tobytes()
+
+
+class BoxBatch:
+    """A burst of plain box predicates as float rows: the wire form.
+
+    ``rows`` is a float64 ``(R, 3)`` array holding every predicate's
+    :func:`box_rows`; predicate ``i`` owns
+    ``rows[offsets[i]:offsets[i + 1]]``.  Both arrays are read-only.
+    ``key(i)`` is the bytes of predicate ``i``'s rows, which is what the
+    estimate cache keys a box predicate on, so a cache hit needs no
+    predicate object.  Indexing or iterating rebuilds
+    ``BoxPredicate([RangeConstraint(dim, low, high), ...])``, which
+    lowers bit-identically to the predicate that was packed.
+    """
+
+    __slots__ = ("rows", "offsets", "_data", "_spans")
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray) -> None:
+        rows = np.asarray(rows, dtype=np.float64)
+        offsets = np.array(offsets, dtype=np.int64)
+        ends = offsets.tolist() if offsets.ndim == 1 else []
+        if (
+            rows.ndim != 2
+            or rows.shape[1] != 3
+            or not ends
+            or ends[0] != 0
+            or ends[-1] != rows.shape[0]
+            or any(start >= end for start, end in zip(ends, ends[1:]))
+        ):
+            raise PredicateError(
+                "a box batch needs (R, 3) rows and offsets rising from 0 "
+                "to R by at least one row per predicate"
+            )
+        self._data = rows.tobytes()
+        self.rows = np.frombuffer(self._data, dtype=np.float64).reshape(-1, 3)
+        offsets.flags.writeable = False
+        self.offsets = offsets
+        self._spans = [end * _ROW_BYTES for end in ends]
+
+    @classmethod
+    def pack(cls, predicates: Iterable[object]) -> "BoxBatch | None":
+        """Pack a burst into rows; None unless every predicate has rows
+        (see :func:`box_rows`)."""
+        parts: list[bytes] = []
+        offsets = [0]
+        for predicate in predicates:
+            data = box_rows(predicate)
+            if data is None:
+                return None
+            parts.append(data)
+            offsets.append(offsets[-1] + len(data) // _ROW_BYTES)
+        rows = np.frombuffer(b"".join(parts), dtype=np.float64)
+        return cls(rows.reshape(-1, 3), offsets)
+
+    def __len__(self) -> int:
+        return len(self._spans) - 1
+
+    def key(self, index: int) -> bytes:
+        """The row bytes of predicate ``index`` (``0 <= index < len``)."""
+        return self._data[self._spans[index] : self._spans[index + 1]]
+
+    def __getitem__(self, index: int) -> BoxPredicate:
+        index = range(len(self))[index]
+        rows = self.rows[self.offsets[index] : self.offsets[index + 1]]
+        return BoxPredicate(
+            RangeConstraint(int(dim), low, high)
+            for dim, low, high in rows.tolist()
+        )
+
+    def __iter__(self) -> Iterator[BoxPredicate]:
+        return (self[index] for index in range(len(self)))
+
+    def __reduce__(self):
+        return (BoxBatch, (self.rows, self.offsets))
+
+    def __repr__(self) -> str:
+        return f"BoxBatch({len(self)} predicates, {self.rows.shape[0]} rows)"
 
 
 class Conjunction(Predicate):

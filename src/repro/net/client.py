@@ -9,6 +9,16 @@ call-site changes.  Backends are encoded on the way out and snapshots
 decoded on the way in, so call sites keep passing and receiving the
 same objects they would hand an in-process service.
 
+Bursts are grouped and packed here, once.  :meth:`estimate_batch_mixed`
+groups the burst by key (:func:`~repro.serving.registry.group_by_key`)
+and sends each group as ``(key, positions, payload)``.  A group of plain
+box predicates travels as one :class:`~repro.core.predicate.BoxBatch`
+of float rows, which the gateway forwards to the key's owner untouched
+and the worker's estimate cache is keyed on; any other group
+(disjunctions, negations, raw geometry) travels as predicate objects.
+:meth:`estimate_batch` packs its predicates the same way, and scalar
+:meth:`estimate` sends the object.
+
 Failure semantics mirror the gateway's: idempotent reads are retried
 with bounded backoff across reconnects; writes (``observe``,
 registration) are never auto-retried on a connection failure — the
@@ -35,7 +45,8 @@ from repro.exceptions import (
     RemoteTimeoutError,
     WorkerUnavailableError,
 )
-from repro.serving.registry import ModelKey, normalize_key
+from repro.core.predicate import BoxBatch
+from repro.serving.registry import ModelKey, group_by_key, normalize_key
 from repro.serving.snapshot import ModelSnapshot
 from repro.net.protocol import (
     IDEMPOTENT_READS,
@@ -52,6 +63,14 @@ __all__ = ["RemoteSelectivityService", "connect"]
 
 #: Sentinel distinguishing "use the default timeout" from "no timeout".
 _DEFAULT_TIMEOUT = object()
+
+
+def _payload(predicates: Sequence[object]) -> BoxBatch | list[object]:
+    """What one key's predicates cross the wire as: a :class:`BoxBatch`
+    of float rows when every one is a plain box, else the objects."""
+    predicates = list(predicates)
+    batch = BoxBatch.pack(predicates)
+    return predicates if batch is None else batch
 
 
 class RemoteSelectivityService:
@@ -263,21 +282,30 @@ class RemoteSelectivityService:
         predicates: Sequence[object],
         columns: Sequence[str] = (),
     ) -> np.ndarray:
-        """Batched single-key estimates (one remote vectorised pass)."""
+        """Batched single-key estimates (one remote vectorised pass).
+
+        Plain box predicates travel as one :class:`BoxBatch` of rows.
+        """
         key = normalize_key(table, columns)
         return self._call(
-            "estimate_batch", {"table": key, "predicates": list(predicates)}
+            "estimate_batch", {"table": key, "predicates": _payload(predicates)}
         )
 
     def estimate_batch_mixed(
         self, pairs: Sequence[tuple[str | ModelKey, object]]
     ) -> np.ndarray:
-        """Mixed-key burst; the gateway fans it across workers."""
-        return self._call(
-            "estimate_batch_mixed",
-            {"pairs": [(normalize_key(table, ()), predicate)
-                       for table, predicate in pairs]},
-        )
+        """Mixed-key burst; the gateway fans it across workers.
+
+        The burst is grouped by key here, once, and each group crosses
+        the wire as ``(key, positions, payload)``; the gateway forwards
+        each payload to the key's owner and writes the answers back to
+        ``positions``.
+        """
+        groups = [
+            (key, positions, _payload(predicates))
+            for key, (positions, predicates) in group_by_key(pairs).items()
+        ]
+        return self._call("estimate_batch_mixed", {"pairs": groups})
 
     def observe(
         self,

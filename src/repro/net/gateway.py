@@ -3,10 +3,15 @@
 :class:`SelectivityGateway` is the asyncio core.  It keeps one pipelined
 connection per worker (:class:`_WorkerLink`) and takes the in-process
 cluster's fleet decisions with the same code (the BLAKE2b
-:class:`~repro.cluster.router.ShardRouter`, ``group_by_key``, the drain
-budget and the stats fold).  :meth:`estimate_batch_mixed` sends one
-concurrent ``estimate_batch`` RPC per key, reassembled in input order;
-a membership change moves each key's
+:class:`~repro.cluster.router.ShardRouter`, the drain budget and the
+stats fold).  A mixed burst arrives already grouped by the client, one
+``(key, positions, payload)`` group per key; :meth:`estimate_batch_mixed`
+forwards each payload as one concurrent ``estimate_batch`` RPC to the
+key's owner and writes the answers back to their positions.  A payload
+of plain box predicates is a :class:`~repro.core.predicate.BoxBatch` of
+float rows: the gateway never builds predicate objects for it, except
+to answer from a cached snapshot when the owner is unreachable.  A
+membership change moves each key's
 :class:`~repro.cluster.shard.KeyState` through the worker-side
 ``migrate_out`` / ``migrate_in`` pair (the cluster's exact-snapshot
 hand-off, split at the wire).
@@ -61,6 +66,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -72,7 +78,8 @@ from repro.exceptions import (
     ServingError,
     WorkerUnavailableError,
 )
-from repro.serving.registry import ModelKey, group_by_key, normalize_key
+from repro.core.predicate import BoxBatch
+from repro.serving.registry import ModelKey, normalize_key
 from repro.serving.snapshot import ModelSnapshot
 from repro.cluster.router import ShardRouter, drain_budget
 from repro.cluster.stats import merge_worker_stats
@@ -596,7 +603,7 @@ class SelectivityGateway:
     def _degraded_answer(
         self,
         key: ModelKey,
-        predicates: Sequence[object],
+        predicates: Sequence[object] | BoxBatch,
         error: Exception,
     ) -> np.ndarray:
         """Answer a failed read from the last-known snapshot or prior.
@@ -644,12 +651,17 @@ class SelectivityGateway:
     async def estimate_batch(
         self,
         table: str | ModelKey,
-        predicates: Sequence[object],
+        predicates: Sequence[object] | BoxBatch,
         columns: Sequence[str] = (),
     ) -> np.ndarray:
-        """Single-key burst, routed whole to one worker's vectorised path."""
+        """Single-key burst, routed whole to one worker's vectorised path.
+
+        A :class:`BoxBatch` is forwarded as it came; only the degraded
+        path turns it into predicate objects.
+        """
         key = normalize_key(table, columns)
-        predicates = list(predicates)
+        if not isinstance(predicates, BoxBatch):
+            predicates = list(predicates)
         try:
             return await self._call_routed(
                 key, "estimate_batch", {"table": key, "predicates": predicates}
@@ -658,27 +670,43 @@ class SelectivityGateway:
             return self._degraded_answer(key, predicates, error)
 
     async def estimate_batch_mixed(
-        self, pairs: Sequence[tuple[str | ModelKey, object]]
+        self,
+        pairs: Sequence[
+            tuple[ModelKey, Sequence[int], Sequence[object] | BoxBatch]
+        ],
     ) -> np.ndarray:
-        """Mixed-key burst: one concurrent :meth:`estimate_batch` per key,
-        reassembled in input order.
+        """Mixed-key burst, grouped by the client: one concurrent
+        :meth:`estimate_batch` per key, reassembled in input order.
 
-        Each key keeps its own re-route retry and degraded fallback, so
-        an unreachable owner degrades only its keys' slices.
+        ``pairs`` holds one ``(key, positions, payload)`` group per key,
+        as :meth:`~repro.net.client.RemoteSelectivityService.estimate_batch_mixed`
+        sends it: the payload (a :class:`BoxBatch` or a predicate list)
+        goes to the key's owner as is, and its answers land at
+        ``positions`` of a result as long as the whole burst.  Each key
+        keeps its own re-route retry and degraded fallback, so an
+        unreachable owner degrades only its keys' slices.
         """
-        pairs = list(pairs)
-        results = np.empty(len(pairs))
-        groups = group_by_key(pairs)
+        groups = list(pairs)
+        positions = [list(indices) for _, indices, _ in groups]
+        count = sum(map(len, positions))
+        if sorted(chain.from_iterable(positions)) != list(range(count)) or any(
+            len(indices) != len(payload)
+            for indices, (_, _, payload) in zip(positions, groups)
+        ):
+            raise NetError(
+                "a mixed burst needs one (key, positions, payload) group per "
+                "key, with positions covering the burst exactly once and one "
+                "position per predicate"
+            )
+        results = np.empty(count)
         if not groups:
             return results
-        self._stats.add("fanouts", len(self._router.split(groups)))
+        owners = self._router.split(normalize_key(key) for key, _, _ in groups)
+        self._stats.add("fanouts", len(owners))
         answers = await asyncio.gather(
-            *(
-                self.estimate_batch(key, predicates)
-                for key, (_, predicates) in groups.items()
-            )
+            *(self.estimate_batch(key, payload) for key, _, payload in groups)
         )
-        for (indices, _), values in zip(groups.values(), answers):
+        for indices, values in zip(positions, answers):
             results[indices] = values
         return results
 

@@ -24,6 +24,18 @@ explicit here: this protocol is for links you already trust end to end
 ``multiprocessing`` draws.  Do not expose a worker or gateway port to
 untrusted peers; TLS/auth is a roadmap item.
 
+Estimate bursts ride the same frames.  The client groups a mixed burst
+by key and sends ``estimate_batch_mixed(pairs=[(key, positions,
+payload), ...])``; the gateway forwards each payload as one
+``estimate_batch(table=key, predicates=payload)`` request to the key's
+owner.  A payload of plain box predicates is a
+:class:`~repro.core.predicate.BoxBatch`, which pickles as its two arrays
+(float64 ``[dim, low, high]`` rows and per-predicate offsets), so
+neither hop pickles predicate objects, and the worker keys its estimate
+cache on the same row bytes.  Any other payload is a list of predicate
+objects.  Writes, registration, migration and checkpoints carry
+predicate objects and backends as they always have.
+
 Snapshot/backend serialisation contract
 ---------------------------------------
 :func:`encode_snapshot`/:func:`decode_snapshot` round-trip a

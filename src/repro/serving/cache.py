@@ -10,9 +10,14 @@ predicate) -> estimate``.  Three design points:
   called on every publish to evict the dead version's entries promptly
   instead of letting them age out of the LRU.
 * **Structural predicate keys.**  :func:`predicate_cache_key` derives a
-  hashable token from the predicate's structure (constraint dims and
-  bounds) without lowering it to geometry, so a cache *hit* costs a dict
-  lookup, not a region construction.
+  hashable token from the predicate's structure without lowering it to
+  geometry, so a cache *hit* costs a dict lookup, not a region
+  construction.  A plain box predicate is keyed on its float rows
+  (:func:`~repro.core.predicate.box_rows`, ``("P", row bytes)``), the
+  same bytes a remote burst carries in its
+  :class:`~repro.core.predicate.BoxBatch`: a scalar read, an in-process
+  batch and a remote burst share one entry per box, and a worker answers
+  a hit from the bytes alone, with no predicate object.
 * **Optional TinyLFU admission.**  With ``admission="tinylfu"``, a
   :class:`FrequencySketch` (count-min, 4-bit counters, periodic halving)
   gates entry to a full cache: a new key must have been looked up at
@@ -27,55 +32,59 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
 from repro.core.geometry import Hyperrectangle
 from repro.core.predicate import (
+    BoxBatch,
     BoxPredicate,
     Conjunction,
-    Constraint,
     Disjunction,
-    EqualityConstraint,
     Negation,
     Predicate,
-    RangeConstraint,
     TruePredicate,
+    box_rows,
 )
 from repro.core.region import Region
 from repro.exceptions import ServingError
 
-__all__ = ["EstimateCache", "FrequencySketch", "predicate_cache_key"]
-
-
-def _constraint_key(constraint: Constraint) -> Hashable:
-    if isinstance(constraint, RangeConstraint):
-        return ("r", constraint.dim, constraint.low, constraint.high)
-    if isinstance(constraint, EqualityConstraint):
-        return ("e", constraint.dim, constraint.value, constraint.width)
-    # An unknown subclass has no field set we can key on structurally, and
-    # a repr/id-based key could collide after address reuse — refuse
-    # rather than risk serving another predicate's estimate.
-    raise ServingError(
-        f"cannot build a cache key for constraint type "
-        f"{type(constraint).__name__}"
-    )
+__all__ = [
+    "EstimateCache",
+    "FrequencySketch",
+    "predicate_cache_key",
+    "predicate_cache_keys",
+]
 
 
 def predicate_cache_key(predicate: Predicate | Hyperrectangle | Region) -> Hashable:
     """A hashable token such that equal tokens imply equal estimates.
 
-    The token mirrors the predicate's syntax tree; two syntactically
+    A box predicate's token is its rows (:func:`box_rows`), which equal
+    rows lower to equal bounds; ``RangeConstraint(d, v, v + w)`` and
+    ``EqualityConstraint(d, v, w)`` therefore share one token.  Other
+    tokens mirror the predicate's syntax tree; two syntactically
     different spellings of the same predicate may get different tokens
     (costing only a duplicate cache entry, never a wrong answer).
+    Raises :class:`ServingError` for a predicate with no such token,
+    such as a box holding a constraint subclass: a repr- or id-based key
+    could collide after address reuse and serve another predicate's
+    estimate.
     """
     if isinstance(predicate, Hyperrectangle):
         return ("H", predicate.bounds.tobytes())
     if isinstance(predicate, Region):
         return ("R", tuple(box.bounds.tobytes() for box in predicate.boxes))
     if isinstance(predicate, BoxPredicate):
-        return ("B", tuple(_constraint_key(c) for c in predicate.constraints))
+        rows = box_rows(predicate)
+        if rows is None:
+            raise ServingError(
+                f"cannot build a cache key for {predicate!r}: only a plain "
+                "BoxPredicate of RangeConstraint and EqualityConstraint "
+                "has rows"
+            )
+        return ("P", rows)
     if isinstance(predicate, TruePredicate):
         return ("T",)
     if isinstance(predicate, Conjunction):
@@ -89,17 +98,37 @@ def predicate_cache_key(predicate: Predicate | Hyperrectangle | Region) -> Hasha
     )
 
 
+def predicate_cache_keys(
+    predicates: Sequence[Predicate | Hyperrectangle | Region] | BoxBatch,
+) -> list[Hashable | None]:
+    """One :func:`predicate_cache_key` token per predicate, in order.
+
+    A :class:`BoxBatch` yields ``("P", batch.key(i))`` straight from its
+    row bytes, with no predicate object.  A predicate with no token
+    (:func:`predicate_cache_key` raises) gets None: it is still
+    estimable through ``to_region``, just served uncached.
+    """
+    if isinstance(predicates, BoxBatch):
+        return [("P", predicates.key(index)) for index in range(len(predicates))]
+    tokens: list[Hashable | None] = []
+    for predicate in predicates:
+        try:
+            tokens.append(predicate_cache_key(predicate))
+        except ServingError:
+            tokens.append(None)
+    return tokens
+
+
 def _model_key_of(key: Hashable) -> Hashable | None:
     """The model-key component of a cache key (None for foreign keys).
 
     Service-shaped cache keys are exactly ``(model_key, version,
     predicate_token)`` 3-tuples with an integer version.  The arity and
     version check matter: predicate tokens themselves are 1–2-tuples
-    (``("H", bytes)``, ``("T",)``) and constraint keys are 4-tuples, so
-    a bare token cached directly must *not* be attributed to its first
-    element — a ``("H", ...)`` entry under a phantom model key ``"H"``
-    would be silently dropped by ``invalidate("H")`` and counted by
-    ``entries_for("H")``.
+    (``("H", bytes)``, ``("T",)``), so a bare token cached directly must
+    *not* be attributed to its first element — a ``("H", ...)`` entry
+    under a phantom model key ``"H"`` would be silently dropped by
+    ``invalidate("H")`` and counted by ``entries_for("H")``.
     """
     if isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], int):
         return key[0]

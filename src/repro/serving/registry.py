@@ -97,10 +97,14 @@ def group_by_key(
     """Group a mixed-key burst by key, keeping each pair's input position.
 
     Returns ``{key: (indices, predicates)}`` in first-seen key order.
-    Every ``estimate_batch_mixed`` (one service, shard threads, worker
-    processes) evaluates each group as one single-key batch and writes
-    it back with ``results[indices] = values``, so results come out in
-    input order.
+    Every ``estimate_batch_mixed`` evaluates each group as one single-key
+    batch and writes it back with ``results[indices] = values``, so
+    results come out in input order.  The in-process service and the
+    sharded cluster group here themselves; a remote burst is grouped
+    once, by the client
+    (:meth:`~repro.net.client.RemoteSelectivityService.estimate_batch_mixed`),
+    which ships each group as ``(key, indices, payload)`` for the gateway
+    to forward without regrouping.
     """
     groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
     for index, (table, predicate) in enumerate(pairs):

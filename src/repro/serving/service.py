@@ -50,11 +50,15 @@ from typing import TypeVar
 import numpy as np
 
 from repro.core.geometry import Hyperrectangle
-from repro.core.predicate import Predicate
+from repro.core.predicate import BoxBatch, Predicate
 from repro.core.region import Region
 from repro.estimators.backend import TrainableBackend, as_backend
 from repro.exceptions import ServingError
-from repro.serving.cache import EstimateCache, predicate_cache_key
+from repro.serving.cache import (
+    EstimateCache,
+    predicate_cache_key,
+    predicate_cache_keys,
+)
 from repro.serving.policy import RefitDecision, RefitPolicy
 from repro.serving.registry import (
     EstimatorRegistry,
@@ -540,7 +544,7 @@ class SelectivityService:
     def estimate_batch(
         self,
         table: str | ModelKey,
-        predicates: Sequence[PredicateLike],
+        predicates: Sequence[PredicateLike] | BoxBatch,
         columns: Sequence[str] = (),
     ) -> np.ndarray:
         """Estimate a burst of predicates against one snapshot version.
@@ -548,26 +552,34 @@ class SelectivityService:
         All predicates are answered by the *same* model version (resolved
         once at entry).  Cache hits are filled directly; all misses are
         evaluated in a single vectorised pass and then cached.
+
+        ``predicates`` may be a :class:`~repro.core.predicate.BoxBatch`,
+        the float rows a remote burst arrives as.  Its cache keys are its
+        row bytes (:meth:`~repro.core.predicate.BoxBatch.key`, the key
+        :func:`~repro.serving.cache.predicate_cache_key` gives the same
+        box as an object), so a hit builds no predicate object; only the
+        misses are rebuilt from their rows and lowered.
         """
         slot = self._fast_slot_for(table, columns)
         key = slot.key
         start = time.perf_counter()
         snapshot = slot.snapshot()
+        version = snapshot.version
         results = np.empty(len(predicates))
         miss_indices: list[int] = []
-        miss_predicates: list[PredicateLike] = []
         miss_keys = []
-        for index, predicate in enumerate(predicates):
-            cache_key = self._cache_key(key, snapshot, predicate)
+        for index, token in enumerate(predicate_cache_keys(predicates)):
+            cache_key = None if token is None else (key, version, token)
             cached = None if cache_key is None else self._cache.get(cache_key)
             if cached is not None:
                 results[index] = cached
             else:
                 miss_indices.append(index)
-                miss_predicates.append(predicate)
                 miss_keys.append(cache_key)
-        if miss_predicates:
-            values = snapshot.estimate_many(miss_predicates)
+        if miss_indices:
+            values = snapshot.estimate_many(
+                [predicates[index] for index in miss_indices]
+            )
             for index, cache_key, value in zip(miss_indices, miss_keys, values):
                 value = float(value)
                 results[index] = value
@@ -575,7 +587,7 @@ class SelectivityService:
                     self._cache.put(cache_key, value)
         self._stats.record_batch(
             len(predicates),
-            len(predicates) - len(miss_predicates),
+            len(predicates) - len(miss_indices),
             time.perf_counter() - start,
         )
         return results
@@ -588,8 +600,9 @@ class SelectivityService:
         The burst is grouped by key (:func:`group_by_key`) and each group
         goes through :meth:`estimate_batch` (one snapshot resolve + one
         vectorised miss pass per key); results land back in the positions
-        their pairs came in.  The sharded cluster and the gateway group
-        the same way and fan the groups out across shards or workers.
+        their pairs came in.  The sharded cluster groups the same way and
+        fans the groups out across shards; the remote client groups once
+        and the gateway fans its groups out across workers.
         """
         results = np.empty(len(pairs))
         for key, (indices, predicates) in group_by_key(pairs).items():
@@ -844,24 +857,11 @@ class SelectivityService:
                     "call register_model() first"
                 ) from error
 
-    def _cache_key(
-        self, key: ModelKey, snapshot: ModelSnapshot, predicate: PredicateLike
-    ) -> tuple | None:
-        """The cache key for a predicate, or None if it has no stable key.
-
-        Custom :class:`~repro.core.predicate.Predicate`/``Constraint``
-        subclasses are estimable (via ``to_region``) but not structurally
-        keyable; they are served uncached rather than rejected.
-        """
-        try:
-            return (key, snapshot.version, predicate_cache_key(predicate))
-        except ServingError:
-            return None
-
     def _estimate_cached(
         self, key: ModelKey, snapshot: ModelSnapshot, predicate: PredicateLike
     ) -> tuple[float, bool]:
-        cache_key = self._cache_key(key, snapshot, predicate)
+        (token,) = predicate_cache_keys([predicate])
+        cache_key = None if token is None else (key, snapshot.version, token)
         if cache_key is not None:
             cached = self._cache.get(cache_key)
             if cached is not None:

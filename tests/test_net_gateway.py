@@ -14,7 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster.shard import ShardWorker
 from repro.core.config import QuickSelConfig
+from repro.core.predicate import BoxBatch
 from repro.core.quicksel import QuickSel
 from repro.exceptions import (
     ClusterError,
@@ -31,6 +33,7 @@ from repro.net import (
     connect,
     merge_worker_stats,
 )
+from repro.net.gateway import SelectivityGateway, _WorkerLink
 from repro.serving import RefitScheduler, SelectivityService
 from repro.serving.stats import LATENCY_WINDOW
 from repro.serving.adapter import SelectivityServing, ServingEstimator
@@ -302,6 +305,60 @@ class TestGatewayServing:
                 ) <= PARITY
         finally:
             reference.close()
+
+    def test_box_groups_cross_as_rows_and_others_as_objects(
+        self, fleet, workload, monkeypatch
+    ):
+        """One burst, two payload forms: the client packs each key's boxes
+        into a BoxBatch, a group holding a Disjunction goes as a list, and
+        both pass the traced names perfbench wraps (the gateway's
+        ``estimate_batch_mixed(pairs=...)``, one ``estimate_batch`` RPC
+        per key, the worker's ``ShardWorker.estimate_batch``)."""
+        _, _, probes, trainers = workload
+        _, _, client = fleet
+        for table, trainer in trainers.items():
+            client.register_model(table, copy.deepcopy(trainer))
+        either = probes[0] | probes[1]
+        pairs = [(table, probe) for probe in probes for table in trainers]
+        pairs[1] = ("parts", either)
+        bursts, rpcs, arrivals = [], [], []
+        mixed = SelectivityGateway.estimate_batch_mixed
+        call = _WorkerLink.call
+        batch = ShardWorker.estimate_batch
+
+        async def spy_mixed(self, pairs):
+            bursts.append(pairs)
+            return await mixed(self, pairs=pairs)
+
+        async def spy_call(self, method, *args, **kwargs):
+            rpcs.append((method, args))
+            return await call(self, method, *args, **kwargs)
+
+        def spy_batch(self, key, predicates):
+            arrivals.append((key, predicates))
+            return batch(self, key, predicates)
+
+        monkeypatch.setattr(SelectivityGateway, "estimate_batch_mixed", spy_mixed)
+        monkeypatch.setattr(_WorkerLink, "call", spy_call)
+        monkeypatch.setattr(ShardWorker, "estimate_batch", spy_batch)
+        reference = _reference(trainers, workload)
+        try:
+            remote = client.estimate_batch_mixed(pairs)
+            local = reference.estimate_batch_mixed(pairs)
+        finally:
+            reference.close()
+        assert np.max(np.abs(remote - local)) <= PARITY
+        keys = {table: client.key_for(table) for table in trainers}
+        assert len(bursts) == 1 and len(bursts[0]) == len(trainers)
+        assert sorted(
+            args[0]["table"] for method, args in rpcs if method == "estimate_batch"
+        ) == sorted(keys.values())
+        forms = {key: type(predicates) for key, predicates in arrivals}
+        assert len(arrivals) == len(forms) == len(trainers)
+        assert forms == {
+            key: list if table == "parts" else BoxBatch
+            for table, key in keys.items()
+        }
 
     def test_misrouted_key_is_rerouted_once(self, fleet, workload, monkeypatch):
         """A key the ring sends to the wrong worker on its first lookup,

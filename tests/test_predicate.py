@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from repro.core.predicate import (
     or_,
 )
 from repro.exceptions import PredicateError
+
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -54,6 +58,10 @@ class TestConstraints:
             RangeConstraint(0)
         with pytest.raises(PredicateError):
             RangeConstraint(-1, 0, 1)
+        # A NaN side would lower as open but match no row.
+        for low, high in ((NAN, 2.0), (1.0, NAN), (NAN, None), (None, NAN)):
+            with pytest.raises(PredicateError):
+                RangeConstraint(0, low, high)
 
     def test_range_matches(self):
         constraint = RangeConstraint(0, 2, 5)
@@ -81,6 +89,10 @@ class TestConstraints:
             EqualityConstraint(0, 1, width=-1)
         with pytest.raises(PredicateError):
             EqualityConstraint(-2, 1)
+        # [value, value + width) must be defined: no NaN, no -inf + inf.
+        for value, width in ((NAN, 1.0), (1.0, NAN), (-math.inf, math.inf)):
+            with pytest.raises(PredicateError):
+                EqualityConstraint(1, value, width)
 
 
 class TestBoxPredicate:

@@ -15,6 +15,9 @@ Covers the contracts the serving layer makes:
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 import sys
 import threading
 
@@ -25,7 +28,14 @@ from hypothesis import strategies as st
 
 from repro.core.config import QuickSelConfig
 from repro.core.geometry import Hyperrectangle
-from repro.core.predicate import box_predicate
+from repro.core.predicate import (
+    BoxBatch,
+    BoxPredicate,
+    EqualityConstraint,
+    RangeConstraint,
+    TruePredicate,
+    box_predicate,
+)
 from repro.core.quicksel import QuickSel
 from repro.core.region import Region
 from repro.engine import (
@@ -38,7 +48,7 @@ from repro.engine import (
     Schema,
     Table,
 )
-from repro.exceptions import ServingError
+from repro.exceptions import PredicateError, ServingError
 from repro.serving import (
     EstimateCache,
     EstimatorRegistry,
@@ -331,6 +341,96 @@ class TestBatchEquivalence:
         twin = QuickSel(dataset.domain, QuickSelConfig(random_seed=0))
         key = service.register_model("t", twin)
         assert service.estimate_batch(key, []).shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# The row form of a burst of boxes (BoxBatch)
+# ----------------------------------------------------------------------
+#: Bounds on the unit square's dimensions, inside and outside it, with
+#: both zeros so sign bits are exercised.
+_EDGES = st.one_of(
+    st.floats(min_value=-0.5, max_value=1.5), st.sampled_from([-0.0, 0.0, 1.0])
+)
+
+
+@st.composite
+def _box_constraints(draw):
+    dim = draw(st.integers(min_value=0, max_value=1))
+    kind = draw(st.sampled_from(["range", "low", "high", "equality"]))
+    if kind == "equality":
+        width = draw(st.sampled_from([0.0, 0.5, 1.0, math.inf]))
+        return EqualityConstraint(dim, draw(_EDGES), width)
+    low, high = sorted((draw(_EDGES), draw(_EDGES)))
+    return RangeConstraint(
+        dim, None if kind == "high" else low, None if kind == "low" else high
+    )
+
+
+#: 1-4 constraints per box, dimensions may repeat.
+_BOXES = st.lists(_box_constraints(), min_size=1, max_size=4).map(BoxPredicate)
+
+
+class TestRowForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        predicates=st.lists(_BOXES, min_size=1, max_size=12),
+        rows_first=st.booleans(),
+    )
+    def test_rows_rebuild_key_and_serve_like_the_predicates(
+        self, trained_world, predicates, rows_first
+    ):
+        dataset, _, trained = trained_world
+        batch = pickle.loads(pickle.dumps(BoxBatch.pack(predicates)))
+        assert len(batch) == len(predicates)
+        for index, predicate in enumerate(predicates):
+            # Equal bytes: equal bounds with the same sign bits.
+            assert (
+                batch[index].to_bounds_array(dataset.domain).tobytes()
+                == predicate.to_bounds_array(dataset.domain).tobytes()
+            )
+            assert predicate_cache_key(predicate) == ("P", batch.key(index))
+        service = SelectivityService(scheduler=RefitScheduler("inline"))
+        try:
+            key = service.register_model("t", copy.deepcopy(trained))
+            direct = service.snapshot_for(key).estimate_many(predicates)
+            first, second = (batch, predicates) if rows_first else (predicates, batch)
+            served = service.estimate_batch(key, first)
+            hits = service.stats.cache_hits
+            again = service.estimate_batch(key, second)
+            assert service.stats.cache_hits - hits == len(predicates)
+        finally:
+            service.close()
+        np.testing.assert_array_equal(served, direct)
+        # The kernel can price one box at two positions of one burst an
+        # ulp apart, and the cache keeps the last; the hits return that.
+        cached = {predicate_cache_key(p): v for p, v in zip(predicates, served)}
+        np.testing.assert_array_equal(
+            again, [cached[predicate_cache_key(p)] for p in predicates]
+        )
+
+    def test_only_plain_boxes_pack(self, unit_square):
+        box = box_predicate([(0, 0.1, 0.5)])
+        assert len(BoxBatch.pack([box, box])) == 2
+        for other in (
+            box | box,
+            ~box,
+            Hyperrectangle([[0.0, 0.5], [0.0, 0.5]]),
+            Region.from_box(unit_square),
+            TruePredicate(),
+        ):
+            assert BoxBatch.pack([box, other]) is None
+
+    def test_malformed_rows_are_refused(self):
+        rows = np.zeros((2, 3))
+        for bad_rows, offsets in (
+            (np.zeros((2, 2)), [0, 2]),
+            (rows, [0, 3]),
+            (rows, [1, 2]),
+            (rows, [0, 0, 2]),
+            (rows, []),
+        ):
+            with pytest.raises(PredicateError):
+                BoxBatch(bad_rows, offsets)
 
 
 # ----------------------------------------------------------------------
