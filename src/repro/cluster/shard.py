@@ -44,6 +44,7 @@ from typing import Any, TypedDict
 
 import numpy as np
 
+from repro.core.predicate import BoxBatch
 from repro.estimators.backend import TrainableBackend
 from repro.exceptions import ServingError
 from repro.serving.cache import EstimateCache
@@ -315,7 +316,7 @@ class ShardWorker:
         return slot.estimate(predicate)
 
     def estimate_batch(
-        self, key: ModelKey, predicates: Sequence[object]
+        self, key: ModelKey, predicates: Sequence[object] | BoxBatch
     ) -> np.ndarray:
         """Batched estimates (one snapshot version, vectorised misses)."""
         return self._service.estimate_batch(key, predicates)

@@ -13,9 +13,11 @@ Bursts are grouped and packed here, once.  :meth:`estimate_batch_mixed`
 groups the burst by key (:func:`~repro.serving.registry.group_by_key`)
 and sends each group as ``(key, positions, payload)``.  A group of plain
 box predicates travels as one :class:`~repro.core.predicate.BoxBatch`
-of float rows, which the gateway forwards to the key's owner untouched
-and the worker's estimate cache is keyed on; any other group
-(disjunctions, negations, raw geometry) travels as predicate objects.
+of float rows, which the gateway forwards untouched, in one request per
+owning worker, and the worker's estimate cache is keyed on; any other
+group (disjunctions, negations, raw geometry) travels as predicate
+objects.  A worker answers the same grouped request itself, so a client
+dialled straight at one worker sends its bursts the same way.
 :meth:`estimate_batch` packs its predicates the same way, and scalar
 :meth:`estimate` sends the object.
 
@@ -297,9 +299,9 @@ class RemoteSelectivityService:
         """Mixed-key burst; the gateway fans it across workers.
 
         The burst is grouped by key here, once, and each group crosses
-        the wire as ``(key, positions, payload)``; the gateway forwards
-        each payload to the key's owner and writes the answers back to
-        ``positions``.
+        the wire as ``(key, positions, payload)``; the gateway sends each
+        owning worker its groups in one request and writes the answers
+        back to ``positions``.
         """
         groups = [
             (key, positions, _payload(predicates))

@@ -6,12 +6,12 @@ cluster's fleet decisions with the same code (the BLAKE2b
 :class:`~repro.cluster.router.ShardRouter`, the drain budget and the
 stats fold).  A mixed burst arrives already grouped by the client, one
 ``(key, positions, payload)`` group per key; :meth:`estimate_batch_mixed`
-forwards each payload as one concurrent ``estimate_batch`` RPC to the
-key's owner and writes the answers back to their positions.  A payload
-of plain box predicates is a :class:`~repro.core.predicate.BoxBatch` of
-float rows: the gateway never builds predicate objects for it, except
-to answer from a cached snapshot when the owner is unreachable.  A
-membership change moves each key's
+splits the groups by owner, sends each owner all of its groups in one
+concurrent ``estimate_batch_mixed`` RPC, and writes the answers back to
+their positions.  A payload of plain box predicates is a
+:class:`~repro.core.predicate.BoxBatch` of float rows: the gateway never
+builds predicate objects for it, except to answer from a cached snapshot
+when the owner is unreachable.  A membership change moves each key's
 :class:`~repro.cluster.shard.KeyState` through the worker-side
 ``migrate_out`` / ``migrate_in`` pair (the cluster's exact-snapshot
 hand-off, split at the wire).
@@ -66,7 +66,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -88,6 +87,7 @@ from repro.net.protocol import (
     IDEMPOTENT_READS,
     Request,
     Response,
+    burst_positions,
     decode_snapshot,
     error_response,
     raise_remote_error,
@@ -676,39 +676,72 @@ class SelectivityGateway:
         ],
     ) -> np.ndarray:
         """Mixed-key burst, grouped by the client: one concurrent
-        :meth:`estimate_batch` per key, reassembled in input order.
+        ``estimate_batch_mixed`` RPC per owning worker, reassembled in
+        input order.
 
         ``pairs`` holds one ``(key, positions, payload)`` group per key,
         as :meth:`~repro.net.client.RemoteSelectivityService.estimate_batch_mixed`
-        sends it: the payload (a :class:`BoxBatch` or a predicate list)
-        goes to the key's owner as is, and its answers land at
-        ``positions`` of a result as long as the whole burst.  Each key
-        keeps its own re-route retry and degraded fallback, so an
-        unreachable owner degrades only its keys' slices.
+        sends it.  The groups are split by owner, and each owner gets all
+        of its groups in one request, renumbered to cover that request's
+        own ``0..n-1``; the payloads (a :class:`BoxBatch` or a predicate
+        list) go as they came.  Its answers land at the groups'
+        ``positions`` of a result as long as the whole burst.  An owner
+        that answers ``ServingError`` (one of its keys moved) has its
+        groups re-sent one key at a time, each with its own re-route; an
+        unreachable owner degrades only its own keys' slices.
         """
         groups = list(pairs)
-        positions = [list(indices) for _, indices, _ in groups]
-        count = sum(map(len, positions))
-        if sorted(chain.from_iterable(positions)) != list(range(count)) or any(
-            len(indices) != len(payload)
-            for indices, (_, _, payload) in zip(positions, groups)
-        ):
-            raise NetError(
-                "a mixed burst needs one (key, positions, payload) group per "
-                "key, with positions covering the burst exactly once and one "
-                "position per predicate"
-            )
-        results = np.empty(count)
-        if not groups:
-            return results
-        owners = self._router.split(normalize_key(key) for key, _, _ in groups)
+        positions = burst_positions(groups)
+        results = np.empty(sum(map(len, positions)))
+        # Per owner: its groups renumbered to its own request, and the
+        # burst positions those renumbered answers go back to.
+        owners: dict[_WorkerLink, tuple[list, list[int]]] = {}
+        for (key, _, payload), indices in zip(groups, positions):
+            key = normalize_key(key)
+            local, targets = owners.setdefault(self._link_for(key), ([], []))
+            offset = len(targets)
+            local.append((key, range(offset, offset + len(indices)), payload))
+            targets.extend(indices)
         self._stats.add("fanouts", len(owners))
-        answers = await asyncio.gather(
-            *(self.estimate_batch(key, payload) for key, _, payload in groups)
+        await asyncio.gather(
+            *(
+                self._estimate_on_owner(link, local, targets, results)
+                for link, (local, targets) in owners.items()
+            )
         )
-        for indices, values in zip(positions, answers):
-            results[indices] = values
         return results
+
+    async def _estimate_on_owner(
+        self,
+        link: _WorkerLink,
+        local: list[tuple[ModelKey, range, Sequence[object] | BoxBatch]],
+        targets: list[int],
+        results: np.ndarray,
+    ) -> None:
+        """One owner's share of a mixed burst, in one RPC."""
+        try:
+            values = await self._call_link(
+                link, "estimate_batch_mixed", {"pairs": local}
+            )
+        except ServingError:
+            # A key is not on this owner (it may be mid-migration): each
+            # key re-routes once on its own and degrades only if that
+            # fails too.
+            values = np.concatenate(
+                await asyncio.gather(
+                    *(self.estimate_batch(key, payload) for key, _, payload in local)
+                )
+            )
+        except (WorkerUnavailableError, NetError) as error:
+            # Retries spent, breaker open or timed out: degrade this
+            # owner's keys without a second round of per-key retries.
+            values = np.concatenate(
+                [
+                    self._degraded_answer(key, payload, error)
+                    for key, _, payload in local
+                ]
+            )
+        results[targets] = values
 
     # ------------------------------------------------------------------
     # Writes

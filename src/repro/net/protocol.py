@@ -26,9 +26,11 @@ untrusted peers; TLS/auth is a roadmap item.
 
 Estimate bursts ride the same frames.  The client groups a mixed burst
 by key and sends ``estimate_batch_mixed(pairs=[(key, positions,
-payload), ...])``; the gateway forwards each payload as one
-``estimate_batch(table=key, predicates=payload)`` request to the key's
-owner.  A payload of plain box predicates is a
+payload), ...])``; the gateway splits the groups by owner and sends each
+worker one ``estimate_batch_mixed`` request holding all of that worker's
+groups, renumbered to cover ``0..n-1``, and the worker answers with one
+float64 array.  Both hops refuse a malformed grouping through one check,
+:func:`burst_positions`.  A payload of plain box predicates is a
 :class:`~repro.core.predicate.BoxBatch`, which pickles as its two arrays
 (float64 ``[dim, low, high]`` rows and per-predicate offsets), so
 neither hop pickles predicate objects, and the worker keys its estimate
@@ -67,7 +69,9 @@ import io
 import pickle
 import socket
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 from repro import exceptions
@@ -92,6 +96,7 @@ __all__ = [
     "encode_backend",
     "decode_backend",
     "attach_data_source",
+    "burst_positions",
     "error_response",
     "raise_remote_error",
     "frame_stream",
@@ -151,6 +156,30 @@ class Response:
     value: Any = None
     error_type: str | None = None
     error_message: str | None = None
+
+
+def burst_positions(
+    groups: Sequence[tuple[Any, Sequence[int], Any]],
+) -> list[list[int]]:
+    """Each ``(key, positions, payload)`` group's positions, as lists.
+
+    A grouped burst of ``n`` predicates must cover ``0..n-1`` exactly
+    once, with one position per predicate of its group's payload; any
+    other grouping raises :class:`NetError` before anything is
+    estimated.
+    """
+    positions = [list(indices) for _, indices, _ in groups]
+    count = sum(map(len, positions))
+    if sorted(chain.from_iterable(positions)) != list(range(count)) or any(
+        len(indices) != len(payload)
+        for indices, (_, _, payload) in zip(positions, groups)
+    ):
+        raise NetError(
+            "a mixed burst needs one (key, positions, payload) group per "
+            "key, with positions covering the burst exactly once and one "
+            "position per predicate"
+        )
+    return positions
 
 
 # ----------------------------------------------------------------------

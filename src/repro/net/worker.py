@@ -7,7 +7,12 @@ accepted connection gets a reader thread; decoded requests are handed to
 a small dispatch pool and responses are written back under a
 per-connection lock, so responses may return out of request order — the
 ``request_id`` echo is what lets the gateway pipeline many concurrent
-requests down one connection.
+requests down one connection.  A gateway sends a worker one
+``estimate_batch_mixed`` request per burst, holding every
+``(key, positions, payload)`` group the worker owns; each group runs
+through :meth:`~repro.cluster.shard.ShardWorker.estimate_batch` and the
+reply is one float64 array.  A client dialled straight at a worker sends
+the same request.
 
 :class:`WorkerProcess` launches a server in a child interpreter (spawn
 context, so no forked locks or schedulers are inherited) and reports the
@@ -35,6 +40,9 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+import numpy as np
+
+from repro.core.predicate import BoxBatch
 from repro.exceptions import NetError, ServingError, WorkerUnavailableError
 from repro.serving.policy import RefitPolicy
 from repro.serving.registry import ModelKey, normalize_key
@@ -43,6 +51,7 @@ from repro.net.checkpoint import CheckpointStore
 from repro.net.protocol import (
     Request,
     Response,
+    burst_positions,
     decode_backend,
     encode_backend,
     encode_snapshot,
@@ -417,11 +426,26 @@ class WorkerServer:
     def _do_estimate_batch(
         self,
         table: str | ModelKey,
-        predicates: Sequence[object],
+        predicates: Sequence[object] | BoxBatch,
         columns: Sequence[str] = (),
     ):
         key = normalize_key(table, columns)
         return self._worker.estimate_batch(key, predicates)
+
+    def _do_estimate_batch_mixed(
+        self,
+        pairs: Sequence[
+            tuple[ModelKey, Sequence[int], Sequence[object] | BoxBatch]
+        ],
+    ) -> np.ndarray:
+        groups = list(pairs)
+        positions = burst_positions(groups)
+        results = np.empty(sum(map(len, positions)))
+        for (table, _, payload), indices in zip(groups, positions):
+            results[indices] = self._worker.estimate_batch(
+                normalize_key(table), payload
+            )
+        return results
 
     def _do_observe(
         self,

@@ -551,7 +551,11 @@ class SelectivityService:
 
         All predicates are answered by the *same* model version (resolved
         once at entry).  Cache hits are filled directly; all misses are
-        evaluated in a single vectorised pass and then cached.
+        evaluated in a single vectorised pass and then cached.  A missed
+        cache key is looked up and priced once per call however often it
+        repeats: every repeat gets that first value bit for bit (the
+        vectorised pass can price one box an ulp apart at two
+        positions) and counts as a miss.
 
         ``predicates`` may be a :class:`~repro.core.predicate.BoxBatch`,
         the float rows a remote burst arrives as.  Its cache keys are its
@@ -568,7 +572,14 @@ class SelectivityService:
         results = np.empty(len(predicates))
         miss_indices: list[int] = []
         miss_keys = []
+        # A missed token's first position in this call; key and version
+        # are fixed per call, so the token alone identifies the entry.
+        pending: dict[object, int] = {}
+        repeats: list[tuple[int, int]] = []
         for index, token in enumerate(predicate_cache_keys(predicates)):
+            if pending and token in pending:
+                repeats.append((index, pending[token]))
+                continue
             cache_key = None if token is None else (key, version, token)
             cached = None if cache_key is None else self._cache.get(cache_key)
             if cached is not None:
@@ -576,6 +587,8 @@ class SelectivityService:
             else:
                 miss_indices.append(index)
                 miss_keys.append(cache_key)
+                if token is not None:
+                    pending[token] = index
         if miss_indices:
             values = snapshot.estimate_many(
                 [predicates[index] for index in miss_indices]
@@ -585,9 +598,11 @@ class SelectivityService:
                 results[index] = value
                 if cache_key is not None:
                     self._cache.put(cache_key, value)
+        for index, source in repeats:
+            results[index] = results[source]
         self._stats.record_batch(
             len(predicates),
-            len(predicates) - len(miss_indices),
+            len(predicates) - len(miss_indices) - len(repeats),
             time.perf_counter() - start,
         )
         return results

@@ -434,6 +434,43 @@ class TestGatewayDegradedServing:
             live = server.gateway.stats.counters()["degraded_estimates"]
             assert live < len(pairs)
 
+    def test_a_dead_owner_costs_one_call_per_attempt_not_one_per_key(
+        self, durable_fleet, workload, monkeypatch
+    ):
+        """A mixed burst asks a dead owner for all of its keys at once:
+        ``max_retries + 1`` calls, then exactly its keys' predicates
+        degrade, without a second round of per-key retries."""
+        _, _, probes, trainer = workload
+        workers, server, client, _, _ = durable_fleet
+        gateway = server.gateway
+        tables = ["orders"] + [f"part{index}" for index in range(7)]
+        for table in tables[1:]:
+            client.register_model(table, copy.deepcopy(trainer))
+        owner_of = {
+            table: gateway.router.route(client.key_for(table)) for table in tables
+        }
+        dead = max(workers, key=list(owner_of.values()).count)
+        pairs = [(table, probe) for probe in probes[:10] for table in tables]
+        expected = client.estimate_batch_mixed(pairs)
+        calls: list[str] = []
+        call = _WorkerLink.call
+
+        async def spy_call(self, method, *args, **kwargs):
+            if self.name == dead:
+                calls.append(method)
+            return await call(self, method, *args, **kwargs)
+
+        workers[dead].close()
+        monkeypatch.setattr(_WorkerLink, "call", spy_call)
+        before = gateway.stats.counters()["degraded_estimates"]
+        mixed = client.estimate_batch_mixed(pairs)
+        assert calls == ["estimate_batch_mixed"] * (gateway._max_retries + 1)
+        degraded = gateway.stats.counters()["degraded_estimates"] - before
+        assert degraded == sum(owner_of[table] == dead for table, _ in pairs)
+        # Stale, not fabricated: the dead owner's keys answer from the
+        # snapshots cached at registration.
+        assert np.max(np.abs(mixed - expected)) <= PARITY
+
     def test_prior_answers_when_no_snapshot_was_ever_cached(
         self, durable_fleet, workload
     ):

@@ -232,6 +232,59 @@ class TestWorkerServerDirect:
             reference.close()
             server.close()
 
+    def test_mixed_burst_served_without_a_gateway(self, workload, monkeypatch):
+        """A worker speaks the client's grouped burst too: a box group
+        arrives as a BoxBatch, a group holding a Disjunction as a list."""
+        _, _, probes, trainers = workload
+        tables = ("orders", "parts")
+        served = {table: trainers[table] for table in tables}
+        pairs = [(table, probe) for probe in probes for table in tables]
+        pairs[1] = ("parts", probes[0] | probes[1])
+        arrivals = []
+        batch = ShardWorker.estimate_batch
+
+        def spy_batch(self, key, predicates):
+            arrivals.append((key.table, type(predicates)))
+            return batch(self, key, predicates)
+
+        server = WorkerServer(shard_id="solo")
+        server.start()
+        reference = _reference(served, workload)
+        try:
+            client = connect("127.0.0.1", server.port)
+            for table, trainer in served.items():
+                client.register_model(table, copy.deepcopy(trainer))
+            monkeypatch.setattr(ShardWorker, "estimate_batch", spy_batch)
+            remote = client.estimate_batch_mixed(pairs)
+            local = reference.estimate_batch_mixed(pairs)
+            assert np.max(np.abs(remote - local)) <= PARITY
+            assert sorted(arrivals) == [("orders", BoxBatch), ("parts", list)]
+            client.close()
+        finally:
+            reference.close()
+            server.close()
+
+    def test_malformed_burst_is_refused_before_any_estimate(self, workload):
+        _, _, probes, trainers = workload
+        server = WorkerServer(shard_id="solo")
+        server.start()
+        try:
+            client = connect("127.0.0.1", server.port)
+            orders = client.register_model(
+                "orders", copy.deepcopy(trainers["orders"])
+            )
+            two = BoxBatch.pack(probes[:2])
+            for pairs in (
+                [(orders, [0, 1], two), (orders, [1], [probes[2]])],
+                [(orders, [0, 1], two), (orders, [2, 3], [probes[2]])],
+            ):
+                with pytest.raises(NetError, match="exactly once"):
+                    client._call("estimate_batch_mixed", {"pairs": pairs})
+            assert server.worker.stats.batch_requests == 0
+            client.close()
+        finally:
+            server.close()
+
     def test_unknown_method_is_a_typed_error(self, workload):
         server = WorkerServer(shard_id="solo")
         server.start()
@@ -312,10 +365,11 @@ class TestGatewayServing:
         """One burst, two payload forms: the client packs each key's boxes
         into a BoxBatch, a group holding a Disjunction goes as a list, and
         both pass the traced names perfbench wraps (the gateway's
-        ``estimate_batch_mixed(pairs=...)``, one ``estimate_batch`` RPC
-        per key, the worker's ``ShardWorker.estimate_batch``)."""
+        ``estimate_batch_mixed(pairs=...)``, one ``estimate_batch_mixed``
+        RPC per owning worker, and per key the worker's
+        ``ShardWorker.estimate_batch``)."""
         _, _, probes, trainers = workload
-        _, _, client = fleet
+        _, server, client = fleet
         for table, trainer in trainers.items():
             client.register_model(table, copy.deepcopy(trainer))
         either = probes[0] | probes[1]
@@ -331,7 +385,7 @@ class TestGatewayServing:
             return await mixed(self, pairs=pairs)
 
         async def spy_call(self, method, *args, **kwargs):
-            rpcs.append((method, args))
+            rpcs.append((self.name, method))
             return await call(self, method, *args, **kwargs)
 
         def spy_batch(self, key, predicates):
@@ -350,9 +404,10 @@ class TestGatewayServing:
         assert np.max(np.abs(remote - local)) <= PARITY
         keys = {table: client.key_for(table) for table in trainers}
         assert len(bursts) == 1 and len(bursts[0]) == len(trainers)
-        assert sorted(
-            args[0]["table"] for method, args in rpcs if method == "estimate_batch"
-        ) == sorted(keys.values())
+        owners = {server.gateway.router.route(key) for key in keys.values()}
+        assert sorted(rpcs) == sorted(
+            (owner, "estimate_batch_mixed") for owner in owners
+        )
         forms = {key: type(predicates) for key, predicates in arrivals}
         assert len(arrivals) == len(forms) == len(trainers)
         assert forms == {

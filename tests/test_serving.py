@@ -53,6 +53,7 @@ from repro.serving import (
     EstimateCache,
     EstimatorRegistry,
     ModelKey,
+    ModelSnapshot,
     RefitPolicy,
     RefitScheduler,
     SelectivityService,
@@ -342,6 +343,34 @@ class TestBatchEquivalence:
         key = service.register_model("t", twin)
         assert service.estimate_batch(key, []).shape == (0,)
 
+    def test_a_repeat_within_one_batch_is_priced_once(
+        self, trained_world, make_service, monkeypatch
+    ):
+        """One vectorised pass can price the same box an ulp apart at two
+        positions (0.0898205449664693 and 0.08982054496646928 for this
+        batch), so a repeat is priced once and every position, and the
+        cache, get the first value."""
+        dataset, _, trained = trained_world
+        probes = RandomRangeQueryGenerator(dataset.domain, seed=9).generate(400)
+        batch = probes[1:7] + [probes[0], probes[8], probes[0]]
+        priced: list[int] = []
+        estimate_many = ModelSnapshot.estimate_many
+
+        def spy(self, predicates):
+            priced.append(len(predicates))
+            return estimate_many(self, predicates)
+
+        monkeypatch.setattr(ModelSnapshot, "estimate_many", spy)
+        service = make_service()
+        key = service.register_model("t", copy.deepcopy(trained))
+        served = service.estimate_batch(key, batch)
+        assert priced == [8]
+        assert served[6].tobytes() == served[8].tobytes()
+        assert service.stats.cache_misses == len(batch)
+        assert np.float64(service.estimate(key, probes[0])).tobytes() == (
+            served[6].tobytes()
+        )
+
 
 # ----------------------------------------------------------------------
 # The row form of a burst of boxes (BoxBatch)
@@ -389,10 +418,22 @@ class TestRowForm:
                 == predicate.to_bounds_array(dataset.domain).tobytes()
             )
             assert predicate_cache_key(predicate) == ("P", batch.key(index))
+        # The service prices each distinct box once, in first-seen order.
+        tokens = [predicate_cache_key(p) for p in predicates]
+        distinct: dict = {}
+        for token, predicate in zip(tokens, predicates):
+            distinct.setdefault(token, predicate)
         service = SelectivityService(scheduler=RefitScheduler("inline"))
         try:
             key = service.register_model("t", copy.deepcopy(trained))
-            direct = service.snapshot_for(key).estimate_many(predicates)
+            priced = dict(
+                zip(
+                    distinct,
+                    service.snapshot_for(key).estimate_many(
+                        list(distinct.values())
+                    ),
+                )
+            )
             first, second = (batch, predicates) if rows_first else (predicates, batch)
             served = service.estimate_batch(key, first)
             hits = service.stats.cache_hits
@@ -400,13 +441,8 @@ class TestRowForm:
             assert service.stats.cache_hits - hits == len(predicates)
         finally:
             service.close()
-        np.testing.assert_array_equal(served, direct)
-        # The kernel can price one box at two positions of one burst an
-        # ulp apart, and the cache keeps the last; the hits return that.
-        cached = {predicate_cache_key(p): v for p, v in zip(predicates, served)}
-        np.testing.assert_array_equal(
-            again, [cached[predicate_cache_key(p)] for p in predicates]
-        )
+        np.testing.assert_array_equal(served, [priced[t] for t in tokens])
+        np.testing.assert_array_equal(again, served)
 
     def test_only_plain_boxes_pack(self, unit_square):
         box = box_predicate([(0, 0.1, 0.5)])
