@@ -24,6 +24,9 @@ version is current when the replay finally runs.
 A per-key flush mutex serialises concurrent flushers (two interleaved
 drain/re-queue cycles could otherwise reorder feedback); writers never
 take it.
+
+The queues are unbounded: every entry is an acknowledged observation,
+and exact feedback accounting forbids dropping one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from collections import deque
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from repro.exceptions import ClusterError
 from repro.serving.stats import Counters
 
 __all__ = ["BufferedObservation", "ObservationBuffer"]
@@ -60,20 +62,15 @@ class ObservationBuffer(Counters):
 
     Counters: ``appended`` (observations ever enqueued), ``applied``
     (replayed into a trainer), ``requeued`` (put back because the
-    trainer lock was busy), ``dropped`` (lost to the capacity bound) and
-    ``discarded`` (removed unapplied by :meth:`discard`).  Each moves
-    in the same lock hold as the queues it counts.
+    trainer lock was busy) and ``discarded`` (removed unapplied by
+    :meth:`discard`).  Each moves in the same lock hold as the queues it
+    counts.
     """
 
-    COUNTERS = ("appended", "applied", "requeued", "dropped", "discarded")
+    COUNTERS = ("appended", "applied", "requeued", "discarded")
 
-    def __init__(self, capacity: int | None = None) -> None:
-        """``capacity`` bounds each key's queue; the oldest entry is
-        dropped (and counted) on overflow.  None means unbounded."""
-        if capacity is not None and capacity < 1:
-            raise ClusterError("buffer capacity must be at least 1")
+    def __init__(self) -> None:
         super().__init__()
-        self._capacity = capacity
         self._queues: dict[Hashable, deque[BufferedObservation]] = {}
         self._flush_locks: dict[Hashable, threading.Lock] = {}
 
@@ -83,12 +80,8 @@ class ObservationBuffer(Counters):
     def append(self, key: Hashable, observation: BufferedObservation) -> None:
         """Enqueue one observation for ``key``; never touches trainers."""
         with self._lock:
-            queue = self._queues.setdefault(key, deque())
-            queue.append(observation)
+            self._queues.setdefault(key, deque()).append(observation)
             self.appended += 1
-            if self._capacity is not None and len(queue) > self._capacity:
-                queue.popleft()
-                self.dropped += 1
 
     # ------------------------------------------------------------------
     # Replay side

@@ -58,32 +58,25 @@ class ShardedSelectivityService:
     def __init__(
         self,
         num_shards: int = 4,
-        shard_ids: Sequence[str] | None = None,
         policy: RefitPolicy | None = None,
         cache_capacity: int = 4096,
         scheduler_mode: str = "background",
-        buffer_capacity: int | None = None,
         replicas: int = 64,
     ) -> None:
-        """Build a cluster of ``num_shards`` identically configured shards.
+        """Build a cluster of ``num_shards`` identically configured shards,
+        ``shard-0`` to ``shard-{num_shards - 1}``.
 
-        ``cache_capacity`` / ``policy`` / ``scheduler_mode`` /
-        ``buffer_capacity`` apply *per shard* (each shard models one
-        node with its own resources).  ``replicas`` controls ring
-        granularity.
+        ``cache_capacity`` / ``policy`` / ``scheduler_mode`` apply *per
+        shard* (each shard models one node with its own resources).
+        ``replicas`` controls ring granularity.
         """
-        if shard_ids is None:
-            if num_shards < 1:
-                raise ClusterError("num_shards must be at least 1")
-            shard_ids = [f"shard-{index}" for index in range(num_shards)]
-        shard_ids = list(shard_ids)
-        if len(set(shard_ids)) != len(shard_ids):
-            raise ClusterError("shard ids must be unique")
+        if num_shards < 1:
+            raise ClusterError("num_shards must be at least 1")
+        shard_ids = [f"shard-{index}" for index in range(num_shards)]
         self._shard_config = {
             "policy": policy,
             "cache_capacity": cache_capacity,
             "scheduler_mode": scheduler_mode,
-            "buffer_capacity": buffer_capacity,
         }
         self._workers: dict[str, ShardWorker] = {
             shard_id: ShardWorker(shard_id, **self._shard_config)

@@ -108,7 +108,6 @@ class ShardWorker:
         policy: RefitPolicy | None = None,
         cache_capacity: int = 4096,
         scheduler_mode: str = "background",
-        buffer_capacity: int | None = None,
     ) -> None:
         self._shard_id = shard_id
         self._scheduler = RefitScheduler(scheduler_mode)
@@ -119,7 +118,7 @@ class ShardWorker:
             scheduler=self._scheduler,
             stats=ServingStats(),
         )
-        self._buffer = ObservationBuffer(capacity=buffer_capacity)
+        self._buffer = ObservationBuffer()
         # Per-key fast slots for scalar reads: snapshot cell, cache, and
         # stats sink resolved once per key, request accounting buffered
         # and flushed whenever the stats surface is read (see ``stats``)

@@ -18,8 +18,8 @@ owning worker, and the worker's estimate cache is keyed on; any other
 group (disjunctions, negations, raw geometry) travels as predicate
 objects.  A worker answers the same grouped request itself, so a client
 dialled straight at one worker sends its bursts the same way.
-:meth:`estimate_batch` packs its predicates the same way, and scalar
-:meth:`estimate` sends the object.
+:meth:`estimate_batch` sends its predicates as a one-group burst, and
+scalar :meth:`estimate` sends the object.
 
 Failure semantics mirror the gateway's: idempotent reads are retried
 with bounded backoff across reconnects; writes (``observe``,
@@ -286,11 +286,14 @@ class RemoteSelectivityService:
     ) -> np.ndarray:
         """Batched single-key estimates (one remote vectorised pass).
 
-        Plain box predicates travel as one :class:`BoxBatch` of rows.
+        Sent as a one-group ``estimate_batch_mixed`` burst; plain box
+        predicates travel as one :class:`BoxBatch` of rows.
         """
         key = normalize_key(table, columns)
+        payload = _payload(predicates)
         return self._call(
-            "estimate_batch", {"table": key, "predicates": _payload(predicates)}
+            "estimate_batch_mixed",
+            {"pairs": [(key, range(len(payload)), payload)]},
         )
 
     def estimate_batch_mixed(

@@ -8,7 +8,8 @@ stats fold).  A mixed burst arrives already grouped by the client, one
 ``(key, positions, payload)`` group per key; :meth:`estimate_batch_mixed`
 splits the groups by owner, sends each owner all of its groups in one
 concurrent ``estimate_batch_mixed`` RPC, and writes the answers back to
-their positions.  A payload of plain box predicates is a
+their positions.  It is the wire's one batch method: a single-key batch
+arrives as a one-group burst.  A payload of plain box predicates is a
 :class:`~repro.core.predicate.BoxBatch` of float rows: the gateway never
 builds predicate objects for it, except to answer from a cached snapshot
 when the owner is unreachable.  A membership change moves each key's
@@ -30,7 +31,8 @@ Robustness model:
   feedback.  They surface :class:`WorkerUnavailableError` instead;
 * a ``ServingError`` reply gets one re-route retry for any method — the
   key may have migrated, and an error reply proves the request was
-  *not* applied, so the retry cannot duplicate anything;
+  *not* applied, so the retry cannot duplicate anything (a refused
+  burst re-splits that owner's groups on the current ring once);
 * links reconnect lazily on the next call (and eagerly from the
   optional health-check loop), so a worker respawned at the same
   address resumes service without gateway restarts;
@@ -40,9 +42,10 @@ Robustness model:
   succeeds;
 * reads against an unreachable worker degrade instead of erroring: the
   gateway answers from its last-known decoded snapshot for the key, or
-  from a configured prior when it never saw one (``degraded_estimates``
-  counts every such answer — degraded values are *stale*, not wrong:
-  snapshots are immutable and only drift by missing recent refits);
+  from :data:`DEGRADED_PRIOR` when it never saw one
+  (``degraded_estimates`` counts every such answer — degraded values
+  are *stale*, not wrong: snapshots are immutable and only drift by
+  missing recent refits);
 * writes against an unreachable worker can be buffered (bounded,
   opt-in via ``write_buffer_capacity``) and replayed on recovery; a
   per-key journal of acknowledged writes lets
@@ -97,6 +100,12 @@ from repro.net.protocol import (
 from repro.net.stats import GatewayStats
 
 __all__ = ["SelectivityGateway", "GatewayServer"]
+
+#: The degraded answer for a key whose snapshot the gateway never saw.
+DEGRADED_PRIOR = 0.5
+
+#: One key's slice of a burst: the key, its burst positions, its payload.
+_Group = tuple[ModelKey, list[int], Sequence[object] | BoxBatch]
 
 
 class _WorkerLink:
@@ -280,11 +289,8 @@ class SelectivityGateway:
         health_interval: float | None = None,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 1.0,
-        degraded_reads: bool = True,
-        degraded_prior: float | None = 0.5,
         write_buffer_capacity: int = 0,
         write_journal_capacity: int = 1024,
-        backoff_rng: random.Random | None = None,
     ) -> None:
         """``workers`` maps worker name → ``(host, port)``.
 
@@ -299,11 +305,10 @@ class SelectivityGateway:
 
         Degradation knobs: each worker gets a circuit breaker that opens
         after ``breaker_threshold`` consecutive failures and half-open
-        probes after ``breaker_cooldown`` seconds.  With
-        ``degraded_reads`` on, reads that exhaust their retries answer
-        from the gateway's last-known snapshot for the key (or
-        ``degraded_prior`` when no snapshot was ever seen; ``None``
-        re-raises instead).  ``write_buffer_capacity`` > 0 additionally
+        probes after ``breaker_cooldown`` seconds.  Reads that exhaust
+        their retries answer from the gateway's last-known snapshot for
+        the key (or :data:`DEGRADED_PRIOR` when no snapshot was ever
+        seen).  ``write_buffer_capacity`` > 0 additionally
         acknowledges observes into a bounded per-key buffer while the
         owner is down — buffered writes are replayed on recovery, which
         trades the plain path's "an ack means the worker has it" for
@@ -324,8 +329,6 @@ class SelectivityGateway:
             raise ClusterError("breaker_cooldown must be positive")
         if write_buffer_capacity < 0 or write_journal_capacity < 0:
             raise ClusterError("write capacities must be non-negative")
-        if degraded_prior is not None and not 0.0 <= degraded_prior <= 1.0:
-            raise ClusterError("degraded_prior must be in [0, 1] or None")
         self._stats = GatewayStats()
         self._links = {
             name: _WorkerLink(name, host, port, self._stats)
@@ -342,11 +345,9 @@ class SelectivityGateway:
         self._closed = False
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
-        self._degraded_reads = degraded_reads
-        self._degraded_prior = degraded_prior
         self._write_buffer_capacity = write_buffer_capacity
         self._write_journal_capacity = write_journal_capacity
-        self._rng = backoff_rng if backoff_rng is not None else random.Random()
+        self._rng = random.Random()
         self._breakers = {name: self._new_breaker() for name in workers}
         # Both caches are touched only from the gateway's event loop, so
         # they need no locks; mutations never span an await.
@@ -601,10 +602,7 @@ class SelectivityGateway:
     # Reads
     # ------------------------------------------------------------------
     def _degraded_answer(
-        self,
-        key: ModelKey,
-        predicates: Sequence[object] | BoxBatch,
-        error: Exception,
+        self, key: ModelKey, predicates: Sequence[object] | BoxBatch
     ) -> np.ndarray:
         """Answer a failed read from the last-known snapshot or prior.
 
@@ -615,17 +613,13 @@ class SelectivityGateway:
         key) is the uniform-ignorance answer and is the reason
         ``degraded_estimates`` must be watched, not just availability.
         """
-        if not self._degraded_reads:
-            raise error
         snapshot = self._snapshots.get(key)
         if snapshot is not None:
             values = np.asarray(
                 snapshot.estimate_many(list(predicates)), dtype=float
             )
-        elif self._degraded_prior is not None:
-            values = np.full(len(predicates), self._degraded_prior)
         else:
-            raise error
+            values = np.full(len(predicates), DEGRADED_PRIOR)
         self._stats.add("degraded_estimates", len(predicates))
         return values
 
@@ -637,37 +631,16 @@ class SelectivityGateway:
     ) -> float:
         """Scalar estimate from the owning worker's current snapshot.
 
-        Falls back to the degraded path (last-known snapshot, then the
-        configured prior) when the owner is unreachable.
+        Falls back to the degraded path (last-known snapshot, then
+        :data:`DEGRADED_PRIOR`) when the owner is unreachable.
         """
         key = normalize_key(table, columns)
         try:
             return await self._call_routed(
                 key, "estimate", {"table": key, "predicate": predicate}
             )
-        except (WorkerUnavailableError, NetError) as error:
-            return float(self._degraded_answer(key, [predicate], error)[0])
-
-    async def estimate_batch(
-        self,
-        table: str | ModelKey,
-        predicates: Sequence[object] | BoxBatch,
-        columns: Sequence[str] = (),
-    ) -> np.ndarray:
-        """Single-key burst, routed whole to one worker's vectorised path.
-
-        A :class:`BoxBatch` is forwarded as it came; only the degraded
-        path turns it into predicate objects.
-        """
-        key = normalize_key(table, columns)
-        if not isinstance(predicates, BoxBatch):
-            predicates = list(predicates)
-        try:
-            return await self._call_routed(
-                key, "estimate_batch", {"table": key, "predicates": predicates}
-            )
-        except (WorkerUnavailableError, NetError) as error:
-            return self._degraded_answer(key, predicates, error)
+        except (WorkerUnavailableError, NetError):
+            return float(self._degraded_answer(key, [predicate])[0])
 
     async def estimate_batch_mixed(
         self,
@@ -681,65 +654,74 @@ class SelectivityGateway:
 
         ``pairs`` holds one ``(key, positions, payload)`` group per key,
         as :meth:`~repro.net.client.RemoteSelectivityService.estimate_batch_mixed`
-        sends it.  The groups are split by owner, and each owner gets all
-        of its groups in one request, renumbered to cover that request's
-        own ``0..n-1``; the payloads (a :class:`BoxBatch` or a predicate
-        list) go as they came.  Its answers land at the groups'
-        ``positions`` of a result as long as the whole burst.  An owner
-        that answers ``ServingError`` (one of its keys moved) has its
-        groups re-sent one key at a time, each with its own re-route; an
-        unreachable owner degrades only its own keys' slices.
+        sends it (a single-key batch is one group).  The groups are split
+        by owner, and each owner gets all of its groups in one request,
+        renumbered to cover that request's own ``0..n-1``; the payloads
+        (a :class:`BoxBatch` or a predicate list) go as they came.  Its
+        answers land at the groups' ``positions`` of a result as long as
+        the whole burst.  An owner that answers ``ServingError`` (one of
+        its keys moved) has its groups split once more on the current
+        ring, and a second refusal reaches the caller; an unreachable
+        owner degrades only its own keys' slices.
         """
         groups = list(pairs)
         positions = burst_positions(groups)
         results = np.empty(sum(map(len, positions)))
-        # Per owner: its groups renumbered to its own request, and the
-        # burst positions those renumbered answers go back to.
-        owners: dict[_WorkerLink, tuple[list, list[int]]] = {}
-        for (key, _, payload), indices in zip(groups, positions):
-            key = normalize_key(key)
-            local, targets = owners.setdefault(self._link_for(key), ([], []))
-            offset = len(targets)
-            local.append((key, range(offset, offset + len(indices)), payload))
-            targets.extend(indices)
+        await self._estimate_split(
+            [
+                (normalize_key(key), indices, payload)
+                for (key, _, payload), indices in zip(groups, positions)
+            ],
+            results,
+            resplit=True,
+        )
+        return results
+
+    async def _estimate_split(
+        self, groups: list[_Group], results: np.ndarray, resplit: bool
+    ) -> None:
+        """One round of a burst: each owner's groups in one RPC."""
+        owners: dict[_WorkerLink, list[_Group]] = {}
+        for group in groups:
+            owners.setdefault(self._link_for(group[0]), []).append(group)
         self._stats.add("fanouts", len(owners))
         await asyncio.gather(
             *(
-                self._estimate_on_owner(link, local, targets, results)
-                for link, (local, targets) in owners.items()
+                self._estimate_on_owner(link, share, results, resplit)
+                for link, share in owners.items()
             )
         )
-        return results
 
     async def _estimate_on_owner(
         self,
         link: _WorkerLink,
-        local: list[tuple[ModelKey, range, Sequence[object] | BoxBatch]],
-        targets: list[int],
+        share: list[_Group],
         results: np.ndarray,
+        resplit: bool,
     ) -> None:
-        """One owner's share of a mixed burst, in one RPC."""
+        """One owner's share of a burst, renumbered to its own request."""
+        local = []
+        targets: list[int] = []
+        for key, indices, payload in share:
+            offset = len(targets)
+            local.append((key, range(offset, offset + len(indices)), payload))
+            targets.extend(indices)
         try:
             values = await self._call_link(
                 link, "estimate_batch_mixed", {"pairs": local}
             )
         except ServingError:
-            # A key is not on this owner (it may be mid-migration): each
-            # key re-routes once on its own and degrades only if that
-            # fails too.
-            values = np.concatenate(
-                await asyncio.gather(
-                    *(self.estimate_batch(key, payload) for key, _, payload in local)
-                )
-            )
-        except (WorkerUnavailableError, NetError) as error:
+            # A key is not on this owner (it may be mid-migration): route
+            # this owner's groups again, once.
+            if not resplit:
+                raise
+            await self._estimate_split(share, results, resplit=False)
+            return
+        except (WorkerUnavailableError, NetError):
             # Retries spent, breaker open or timed out: degrade this
-            # owner's keys without a second round of per-key retries.
+            # owner's keys without a second round of retries.
             values = np.concatenate(
-                [
-                    self._degraded_answer(key, payload, error)
-                    for key, _, payload in local
-                ]
+                [self._degraded_answer(key, payload) for key, _, payload in share]
             )
         results[targets] = values
 
@@ -1108,7 +1090,6 @@ class GatewayServer:
             "snapshot_for",
             "feedback_count",
             "estimate",
-            "estimate_batch",
             "estimate_batch_mixed",
             "observe",
             "refit_now",

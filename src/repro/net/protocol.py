@@ -24,12 +24,13 @@ explicit here: this protocol is for links you already trust end to end
 ``multiprocessing`` draws.  Do not expose a worker or gateway port to
 untrusted peers; TLS/auth is a roadmap item.
 
-Estimate bursts ride the same frames.  The client groups a mixed burst
-by key and sends ``estimate_batch_mixed(pairs=[(key, positions,
-payload), ...])``; the gateway splits the groups by owner and sends each
-worker one ``estimate_batch_mixed`` request holding all of that worker's
-groups, renumbered to cover ``0..n-1``, and the worker answers with one
-float64 array.  Both hops refuse a malformed grouping through one check,
+Estimate bursts ride the same frames, through one batch method.  The
+client groups a burst by key (a single-key batch is one group) and sends
+``estimate_batch_mixed(pairs=[(key, positions, payload), ...])``; the
+gateway splits the groups by owner and sends each worker one
+``estimate_batch_mixed`` request holding all of that worker's groups,
+renumbered to cover ``0..n-1``, and the worker answers with one float64
+array.  Both hops refuse a malformed grouping through one check,
 :func:`burst_positions`.  A payload of plain box predicates is a
 :class:`~repro.core.predicate.BoxBatch`, which pickles as its two arrays
 (float64 ``[dim, low, high]`` rows and per-predicate offsets), so
@@ -65,7 +66,6 @@ until a new data source is attached via
 
 from __future__ import annotations
 
-import io
 import pickle
 import socket
 import struct
@@ -99,7 +99,6 @@ __all__ = [
     "burst_positions",
     "error_response",
     "raise_remote_error",
-    "frame_stream",
 ]
 
 _LENGTH = struct.Struct("!I")
@@ -115,7 +114,6 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 IDEMPOTENT_READS = frozenset(
     {
         "estimate",
-        "estimate_batch",
         "estimate_batch_mixed",
         "snapshot_for",
         "feedback_count",
@@ -398,20 +396,3 @@ def attach_data_source(backend: object, data_source: DataSource) -> None:
             "scan backends rescan"
         )
     backend.estimator._data_source = data_source
-
-
-def frame_stream(data: bytes):
-    """Iterate messages out of a byte buffer (testing/debug helper)."""
-    view = io.BytesIO(data)
-    while True:
-        header = view.read(_LENGTH.size)
-        if not header:
-            return
-        if len(header) < _LENGTH.size:
-            raise NetError("trailing bytes do not form a frame header")
-        (length,) = _LENGTH.unpack(header)
-        _check_length(length)
-        payload = view.read(length)
-        if len(payload) < length:
-            raise NetError("truncated frame at end of buffer")
-        yield decode_frame(payload)

@@ -23,7 +23,8 @@ class GatewayStats(Counters):
     """Thread-safe counters and per-worker latency windows for a gateway."""
 
     #: The gateway counters, in :meth:`counters` order.  ``fanouts``
-    #: counts the workers each mixed batch was split across,
+    #: counts the workers each burst was split across (a re-split after
+    #: a refusal counts its owners again),
     #: ``degraded_estimates`` the predicates answered from the last-known
     #: snapshot or the prior instead of a live worker, and
     #: ``lost_writes`` the acknowledged writes a restore could not

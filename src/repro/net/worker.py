@@ -7,12 +7,12 @@ accepted connection gets a reader thread; decoded requests are handed to
 a small dispatch pool and responses are written back under a
 per-connection lock, so responses may return out of request order — the
 ``request_id`` echo is what lets the gateway pipeline many concurrent
-requests down one connection.  A gateway sends a worker one
-``estimate_batch_mixed`` request per burst, holding every
-``(key, positions, payload)`` group the worker owns; each group runs
-through :meth:`~repro.cluster.shard.ShardWorker.estimate_batch` and the
-reply is one float64 array.  A client dialled straight at a worker sends
-the same request.
+requests down one connection.  ``estimate_batch_mixed`` is the one
+batch method: a gateway sends a worker one such request per burst,
+holding every ``(key, positions, payload)`` group the worker owns; each
+group runs through :meth:`~repro.cluster.shard.ShardWorker.estimate_batch`
+and the reply is one float64 array.  A client dialled straight at a
+worker sends the same request, a single-key batch as one group.
 
 :class:`WorkerProcess` launches a server in a child interpreter (spawn
 context, so no forked locks or schedulers are inherited) and reports the
@@ -42,7 +42,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.predicate import BoxBatch
 from repro.exceptions import NetError, ServingError, WorkerUnavailableError
 from repro.serving.policy import RefitPolicy
 from repro.serving.registry import ModelKey, normalize_key
@@ -62,6 +61,9 @@ from repro.net.protocol import (
 
 __all__ = ["WorkerServer", "WorkerProcess", "run_worker"]
 
+#: Threads in a worker's request-dispatch pool.
+DISPATCH_THREADS = 8
+
 
 class WorkerServer:
     """Serve one ShardWorker's full surface over the wire protocol."""
@@ -74,46 +76,35 @@ class WorkerServer:
         policy: RefitPolicy | None = None,
         cache_capacity: int = 4096,
         scheduler_mode: str = "background",
-        buffer_capacity: int | None = None,
-        dispatch_threads: int = 8,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 64,
-        checkpoint_interval: float | None = None,
-        checkpoint_keep: int = 3,
     ) -> None:
         """``checkpoint_dir``, when set, makes the worker durable: every
-        key is checkpointed after ``checkpoint_every`` writes (or when
-        ``checkpoint_interval`` seconds have passed since its last
-        checkpoint, whichever fires first), keeping the newest
-        ``checkpoint_keep`` versions — and any checkpoints already in
-        the directory are restored before the listener accepts traffic,
-        so a respawned worker boots serving what it last saved."""
+        key is checkpointed after ``checkpoint_every`` writes, keeping
+        the store's default number of versions — and any checkpoints
+        already in the directory are restored before the listener
+        accepts traffic, so a respawned worker boots serving what it
+        last saved.  Writes since a key's last checkpoint are the
+        gateway journal's to re-deliver after a crash."""
         if checkpoint_every < 1:
             raise NetError("checkpoint_every must be at least 1")
-        if checkpoint_interval is not None and checkpoint_interval <= 0:
-            raise NetError("checkpoint_interval must be positive")
         self._worker = ShardWorker(
             shard_id,
             policy=policy,
             cache_capacity=cache_capacity,
             scheduler_mode=scheduler_mode,
-            buffer_capacity=buffer_capacity,
         )
         self._checkpoints: CheckpointStore | None = None
         self._checkpoint_every = checkpoint_every
-        self._checkpoint_interval = checkpoint_interval
         self._ckpt_lock = threading.Lock()
         self._writes_since: dict[ModelKey, int] = {}
-        self._last_checkpoint: dict[ModelKey, float] = {}
         if checkpoint_dir is not None:
-            self._checkpoints = CheckpointStore(
-                checkpoint_dir, keep=checkpoint_keep
-            )
+            self._checkpoints = CheckpointStore(checkpoint_dir)
             self._restore_from_checkpoints()
         self._listener = socket.create_server((host, port))
         self._host, self._port = self._listener.getsockname()[:2]
         self._pool = ThreadPoolExecutor(
-            max_workers=dispatch_threads,
+            max_workers=DISPATCH_THREADS,
             thread_name_prefix=f"repro-net-{shard_id}",
         )
         self._stopping = threading.Event()
@@ -158,16 +149,12 @@ class WorkerServer:
         """Reinstall every checkpointed key at boot; returns the count."""
         assert self._checkpoints is not None
         restored = 0
-        now = time.monotonic()
         existing = set(self._worker.model_keys())
         for state in self._checkpoints.latest_bundles():
-            key = state["key"]
-            if key in existing:
+            if state["key"] in existing:
                 continue
             self._worker.install_state(state, decode=decode_backend)
             self._worker.stats.add("checkpoint_restores")
-            with self._ckpt_lock:
-                self._last_checkpoint[key] = now
             restored += 1
         return restored
 
@@ -189,7 +176,6 @@ class WorkerServer:
         self._checkpoints.save(state)
         with self._ckpt_lock:
             self._writes_since[key] = 0
-            self._last_checkpoint[key] = time.monotonic()
         self._worker.stats.add("checkpoints_taken")
         return True
 
@@ -211,17 +197,10 @@ class WorkerServer:
         """Count one write toward the key's checkpoint policy."""
         if self._checkpoints is None:
             return
-        due = False
-        now = time.monotonic()
         with self._ckpt_lock:
             count = self._writes_since.get(key, 0) + 1
             self._writes_since[key] = count
-            if count >= self._checkpoint_every:
-                due = True
-            elif self._checkpoint_interval is not None:
-                last = self._last_checkpoint.setdefault(key, now)
-                due = now - last >= self._checkpoint_interval
-        if due:
+        if count >= self._checkpoint_every:
             self.checkpoint_key(key)
 
     def _discard_checkpoints(self, key: ModelKey) -> None:
@@ -231,7 +210,6 @@ class WorkerServer:
         self._checkpoints.discard(key)
         with self._ckpt_lock:
             self._writes_since.pop(key, None)
-            self._last_checkpoint.pop(key, None)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -423,20 +401,8 @@ class WorkerServer:
     ) -> float:
         return self._worker.estimate(normalize_key(table, columns), predicate)
 
-    def _do_estimate_batch(
-        self,
-        table: str | ModelKey,
-        predicates: Sequence[object] | BoxBatch,
-        columns: Sequence[str] = (),
-    ):
-        key = normalize_key(table, columns)
-        return self._worker.estimate_batch(key, predicates)
-
     def _do_estimate_batch_mixed(
-        self,
-        pairs: Sequence[
-            tuple[ModelKey, Sequence[int], Sequence[object] | BoxBatch]
-        ],
+        self, pairs: Sequence[tuple[ModelKey, Sequence[int], object]]
     ) -> np.ndarray:
         groups = list(pairs)
         positions = burst_positions(groups)

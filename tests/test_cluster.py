@@ -235,18 +235,6 @@ class TestObservationBuffer:
         worker.join(timeout=5)
         assert buffer.applied == 1
 
-    def test_capacity_drops_oldest(self):
-        buffer = ObservationBuffer(capacity=2)
-        for index in range(4):
-            buffer.append("k", self.observation(index))
-        assert buffer.pending("k") == 2
-        assert buffer.dropped == 2
-        kept: list[int] = []
-        buffer.flush("k", lambda items: kept.extend(
-            item.predicate for item in items
-        ) or True)
-        assert kept == [2, 3]
-
     def test_raising_apply_requeues_instead_of_losing_items(self):
         """Regression: a raising apply callback used to drop the whole
         drained batch (the queue was already cleared)."""
@@ -276,8 +264,6 @@ class TestObservationBuffer:
         counters = buffer.counters()
         assert counters["appended"] == 2
         assert counters["pending"] == 2
-        with pytest.raises(ClusterError):
-            ObservationBuffer(capacity=0)
 
     def test_discard_returns_leftovers_and_releases_state(self):
         buffer = ObservationBuffer()

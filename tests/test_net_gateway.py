@@ -450,6 +450,34 @@ class TestGatewayServing:
         finally:
             reference.close()
 
+    def test_unregistered_key_is_resplit_once_then_refused(
+        self, fleet, workload, monkeypatch
+    ):
+        """A burst naming a key no worker serves is split once more on
+        the current ring and then refused: its owner gets two burst RPCs
+        and no per-key fallback."""
+        _, _, probes, trainers = workload
+        _, server, client = fleet
+        gateway = server.gateway
+        for table, trainer in trainers.items():
+            client.register_model(table, copy.deepcopy(trainer))
+        ghost_owner = gateway.router.route(client.key_for("ghost"))
+        calls: list[str] = []
+        call = _WorkerLink.call
+
+        async def spy_call(self, method, *args, **kwargs):
+            if self.name == ghost_owner:
+                calls.append(method)
+            return await call(self, method, *args, **kwargs)
+
+        monkeypatch.setattr(_WorkerLink, "call", spy_call)
+        pairs = [
+            (table, probe) for probe in probes for table in (*trainers, "ghost")
+        ]
+        with pytest.raises(ServingError):
+            client.estimate_batch_mixed(pairs)
+        assert calls == ["estimate_batch_mixed"] * 2
+
     def test_keys_actually_spread_across_workers(self, fleet, workload):
         _, _, _, trainers = workload
         workers, server, client = fleet

@@ -8,6 +8,7 @@ neither a live data source nor a replay history in the payload.
 
 from __future__ import annotations
 
+import inspect
 import pickle
 import socket
 import threading
@@ -28,7 +29,7 @@ from repro.exceptions import (
     RemoteError,
     ServingError,
 )
-from repro.net.gateway import GatewayServer
+from repro.net.gateway import GatewayServer, SelectivityGateway
 from repro.net.protocol import (
     IDEMPOTENT_READS,
     MAX_FRAME_BYTES,
@@ -42,7 +43,6 @@ from repro.net.protocol import (
     encode_frame,
     encode_snapshot,
     error_response,
-    frame_stream,
     raise_remote_error,
     recv_message,
     send_message,
@@ -139,17 +139,6 @@ class TestFraming:
             server.close()
             client.close()
 
-    def test_frame_stream_iterates_messages(self):
-        frames = encode_frame("one") + encode_frame("two")
-        assert list(frame_stream(frames)) == ["one", "two"]
-
-    def test_frame_stream_rejects_truncation(self):
-        frames = encode_frame("whole") + encode_frame("cut")[:-2]
-        with pytest.raises(NetError, match="truncated"):
-            list(frame_stream(frames))
-        with pytest.raises(NetError, match="header"):
-            list(frame_stream(encode_frame("x") + b"\x00\x00"))
-
     def test_pipelined_out_of_order_responses(self):
         """The request_id echo keeps concurrent replies attributable."""
         server, client = socket.socketpair()
@@ -177,6 +166,17 @@ class TestRetryAllowlist:
             for name in IDEMPOTENT_READS
             if name not in GatewayServer.METHODS
             and not hasattr(WorkerServer, f"_do_{name}")
+        }
+        assert not stale
+
+    def test_every_gateway_method_names_a_coroutine(self):
+        """The gateway's wire allowlist cannot outlive its methods."""
+        stale = {
+            name
+            for name in GatewayServer.METHODS
+            if not inspect.iscoroutinefunction(
+                getattr(SelectivityGateway, name, None)
+            )
         }
         assert not stale
 
