@@ -7,23 +7,22 @@ for the whole solve.  :class:`ObservationBuffer` decouples them:
 * **enqueue** (:meth:`ObservationBuffer.append`) touches only the
   buffer's own mutex — a few dict/deque operations — so writers return in
   microseconds no matter what training is doing;
-* **replay** (:meth:`ObservationBuffer.flush`) drains a key's queue and
-  hands it to an ``apply`` callback (in practice
-  :meth:`~repro.serving.service.SelectivityService.apply_feedback` with
-  ``blocking=False``).  If the callback refuses — trainer lock busy — the
-  drained items are re-queued *at the front*, preserving arrival order.
-  The shard retries on every later observe and, crucially, right after
-  each snapshot publish, so buffered feedback lands at the first moment
-  the trainer is free.
+* **replay** (:meth:`ObservationBuffer.take`) pops a key's whole queue,
+  oldest first.  The shard calls it only inside the trainer-lock hold
+  that absorbs the batch (through
+  :meth:`~repro.serving.service.SelectivityService.apply_feedback`), so
+  the trainer lock alone orders replays: a replay that finds the lock
+  busy never touches the queue, and whoever holds the lock sees every
+  observation either queued or in the trainer.  The shard replays on
+  every observe and right after each snapshot publish, so buffered
+  feedback lands at the first moment the trainer is free.  If absorbing
+  a taken batch raises, :meth:`ObservationBuffer.putback` returns it to
+  the front of the queue in arrival order.
 
 Each entry is a :class:`BufferedObservation` carrying the estimate the
 observation was served with: the served-vs-true error must be priced
 against the snapshot that actually answered the query, not whatever
 version is current when the replay finally runs.
-
-A per-key flush mutex serialises concurrent flushers (two interleaved
-drain/re-queue cycles could otherwise reorder feedback); writers never
-take it.
 
 The queues are unbounded: every entry is an acknowledged observation,
 and exact feedback accounting forbids dropping one.
@@ -31,9 +30,8 @@ and exact feedback accounting forbids dropping one.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
 from repro.serving.stats import Counters
@@ -58,13 +56,15 @@ class BufferedObservation:
 
 
 class ObservationBuffer(Counters):
-    """Per-key FIFO queues of feedback with order-preserving replay.
+    """Per-key FIFO queues of feedback, taken whole for replay.
 
     Counters: ``appended`` (observations ever enqueued), ``applied``
-    (replayed into a trainer), ``requeued`` (put back because the
-    trainer lock was busy) and ``discarded`` (removed unapplied by
-    :meth:`discard`).  Each moves in the same lock hold as the queues it
-    counts.
+    (taken for replay into a trainer), ``requeued`` (left waiting
+    because the trainer lock was busy, or put back after a failed
+    absorb) and ``discarded`` (removed unapplied by :meth:`discard`).
+    Each moves in the same lock hold as the queues it counts, so every
+    :meth:`counters` view has ``appended == applied + pending +
+    discarded``.
     """
 
     COUNTERS = ("appended", "applied", "requeued", "discarded")
@@ -72,7 +72,6 @@ class ObservationBuffer(Counters):
     def __init__(self) -> None:
         super().__init__()
         self._queues: dict[Hashable, deque[BufferedObservation]] = {}
-        self._flush_locks: dict[Hashable, threading.Lock] = {}
 
     # ------------------------------------------------------------------
     # Write side (never blocks on training)
@@ -86,55 +85,32 @@ class ObservationBuffer(Counters):
     # ------------------------------------------------------------------
     # Replay side
     # ------------------------------------------------------------------
-    def flush(
-        self,
-        key: Hashable,
-        apply: Callable[[list[BufferedObservation]], bool],
-        wait: bool = True,
-    ) -> int:
-        """Drain ``key``'s queue through ``apply``; re-queue on refusal.
+    def take(self, key: Hashable) -> list[BufferedObservation]:
+        """Pop ``key``'s whole queue, oldest first, counting it applied.
 
-        ``apply`` receives the drained batch (oldest first) and returns
-        whether it was absorbed; on False every item goes back to the
-        front of the queue in its original order.  With ``wait=False``
-        the call returns 0 immediately if another flusher holds the
-        key's flush mutex (the hot observe path uses this: someone else
-        is already replaying, no need to queue up behind them).  Returns
-        the number of observations applied.
+        The caller holds the key's trainer lock and absorbs the batch in
+        the same hold.  The emptied queue is released, so the queue map
+        stays bounded under key churn.
         """
         with self._lock:
-            flush_lock = self._flush_locks.setdefault(key, threading.Lock())
-        if not flush_lock.acquire(blocking=wait):
-            return 0
-        try:
-            with self._lock:
-                queue = self._queues.get(key)
-                items = list(queue) if queue else []
-                if queue:
-                    queue.clear()
-            if not items:
-                return 0
-            # A raising apply (e.g. the key was unregistered mid-flush)
-            # must not lose the drained batch: re-queue before
-            # propagating so a later flush can still deliver it.
-            try:
-                applied = apply(items)
-            except BaseException:
-                self._requeue(key, items)
-                raise
-            if applied:
-                with self._lock:
-                    self.applied += len(items)
-                    queue = self._queues.get(key)
-                    if queue is not None and not queue:
-                        # Keep the queue map bounded under key churn; the
-                        # deque is recreated on the next append.
-                        del self._queues[key]
-                return len(items)
-            self._requeue(key, items)
-            return 0
-        finally:
-            flush_lock.release()
+            queue = self._queues.pop(key, None)
+            items = list(queue) if queue else []
+            self.applied += len(items)
+            return items
+
+    def putback(
+        self, key: Hashable, items: Sequence[BufferedObservation]
+    ) -> None:
+        """Return a taken batch to the front of ``key``'s queue, in order.
+
+        Only for a batch whose absorb raised: it is un-counted from
+        ``applied`` and counted in ``requeued``, and a later replay
+        delivers it ahead of everything appended since.
+        """
+        with self._lock:
+            self._queues.setdefault(key, deque()).extendleft(reversed(items))
+            self.applied -= len(items)
+            self.requeued += len(items)
 
     def discard(self, key: Hashable) -> list[BufferedObservation]:
         """Forget a key, returning whatever was still queued for it.
@@ -143,22 +119,16 @@ class ObservationBuffer(Counters):
         shard (forwarding the returned leftovers to the key's new home),
         and the shard's flush calls it to clean up an orphan key — an
         observe that priced its estimate before a migration and appended
-        after the migration's sweep.  Either way the per-key queue and
-        flush mutex are released, so shards do not accumulate state for
-        every key they ever served; the ``discarded`` counter records
-        how many observations left the buffer unapplied.
+        after the migration's sweep.  Either way the per-key queue is
+        released, so shards do not accumulate state for every key they
+        ever served; the ``discarded`` counter records how many
+        observations left the buffer unapplied.
         """
         with self._lock:
-            self._flush_locks.pop(key, None)
             queue = self._queues.pop(key, None)
             items = list(queue) if queue else []
             self.discarded += len(items)
             return items
-
-    def _requeue(self, key: Hashable, items: list[BufferedObservation]) -> None:
-        with self._lock:
-            self._queues.setdefault(key, deque()).extendleft(reversed(items))
-            self.requeued += len(items)
 
     # ------------------------------------------------------------------
     # Introspection

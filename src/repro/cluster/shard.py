@@ -15,16 +15,16 @@ vectorised fast path intact).  Writes go through the buffer:
 
 1. :meth:`ShardWorker.observe` prices the observation against the
    current snapshot (a lock-free read), enqueues it, and *tries* to
-   replay — a non-blocking trainer-lock acquire.  If a refit holds the
-   lock, the observation stays buffered and the call returns in
-   microseconds.
+   replay — a non-blocking trainer-lock acquire.  A replay takes the
+   key's queue inside the same lock hold that absorbs it, so the
+   trainer lock alone orders replays.  If a refit holds the lock, the
+   observation stays queued and the call returns in microseconds.
 2. After every snapshot publish the shard's registry listener replays
    the key's backlog.  The publish happens on the refit thread while it
-   still (re-entrantly) holds the trainer lock, so the replay lands the
-   moment training finishes in all but one adversarial interleaving (a
-   flusher mid-drain at publish time, re-raced on the retry); even
-   there, the backlog is delayed until the next observe/flush/drain for
-   the key, never lost.
+   still (re-entrantly) holds the trainer lock, so that replay cannot be
+   refused.  A write that lands after it but before the refit releases
+   the lock waits for the key's next observe/flush/drain/publish:
+   delayed, never lost.
 
 Nothing in a shard knows about routing; the
 :class:`~repro.cluster.service.ShardedSelectivityService` owns the ring
@@ -186,7 +186,6 @@ class ShardWorker:
         self,
         table: str | ModelKey,
         trainer: TrainableBackend,
-        columns: Sequence[str] = (),
         refit_backlog: bool = True,
         initial_errors: Sequence[float] = (),
     ) -> ModelKey:
@@ -194,7 +193,6 @@ class ShardWorker:
         return self._service.register_model(
             table,
             trainer,
-            columns=columns,
             refit_backlog=refit_backlog,
             initial_errors=initial_errors,
         )
@@ -217,8 +215,17 @@ class ShardWorker:
 
     def feedback_count(self, key: ModelKey) -> int:
         """Observations accepted for a key: absorbed by the trainer plus
-        still buffered."""
-        return self._service.feedback_count(key) + self._buffer.pending(key)
+        still buffered.
+
+        Both counts are read in one trainer-lock hold.  A replay takes the
+        queue only under that lock, so no batch can fall between them.
+        """
+        return self._service.export_trainer(
+            key,
+            serializer=lambda trainer: (
+                trainer.observed_count + self._buffer.pending(key)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Key state hand-off (resize, wire migration, checkpoint)
@@ -337,43 +344,23 @@ class ShardWorker:
         self._buffer.append(
             key, BufferedObservation(predicate, selectivity, served_estimate)
         )
-        outcome: list[bool] = []
         try:
-            applied = self._buffer.flush(
-                key, self._apply_batch(key, blocking=False, outcome=outcome),
-                wait=False,
-            )
-            if not applied and self._buffer.pending(key):
-                # A publish may have slipped between our drain and
-                # re-queue, in which case its replay listener found an
-                # empty queue (the items were in our hands) and skipped.
-                # One more attempt closes that window: either the lock
-                # is free now (refit done) and this applies, or the
-                # refit is still running and its eventual publish will
-                # see the re-queued backlog.  The doubly-raced tail is
-                # delay-until-next-traffic, never loss — drain()/flush()
-                # always deliver.
-                self._buffer.flush(
-                    key,
-                    self._apply_batch(key, blocking=False, outcome=outcome),
-                    wait=False,
-                )
+            return self._replay(key, blocking=False)[1]
         except ServingError:
             # The key left this shard between the snapshot read above
             # and the replay (a migration race).  The observation stays
-            # re-queued: the migration's final sweep forwards it if the
+            # queued: the migration's final sweep forwards it if the
             # append preceded the sweep, otherwise the next flush's
             # orphan cleanup drops it.  Raising here would make the
             # cluster's retry deliver it twice instead.
-            pass
-        return bool(outcome and outcome[0])
+            return False
 
     def flush(self, key: ModelKey | None = None, blocking: bool = True) -> int:
         """Replay buffered observations into their trainers.
 
         With ``blocking=True`` (the default) the replay waits for each
-        trainer lock — after it returns every drained observation has
-        been absorbed.  Returns the number applied.
+        trainer lock — after it returns every observation queued before
+        the call has been absorbed.  Returns the number applied.
 
         A key the service no longer knows (an observe raced a migration
         and buffered after the hand-off's final sweep) is dropped from
@@ -384,9 +371,7 @@ class ShardWorker:
 
         def flush_one(target: ModelKey) -> int:
             try:
-                return self._buffer.flush(
-                    target, self._apply_batch(target, blocking=blocking)
-                )
+                return self._replay(target, blocking)[0]
             except ServingError:
                 self._buffer.discard(target)
                 return 0
@@ -425,41 +410,36 @@ class ShardWorker:
 
     def _on_publish(self, key: ModelKey, snapshot: ModelSnapshot) -> None:
         # Runs on the refit thread, which still holds the trainer lock
-        # re-entrantly — the non-blocking apply cannot be refused, so the
-        # backlog lands immediately after every publish.  wait=False is
-        # load-bearing: a blocking flush elsewhere may hold the key's
-        # flush mutex while it waits for the trainer lock *we* hold, so
-        # waiting here would deadlock the refit thread against it; that
-        # flusher will absorb the backlog as soon as we release.
-        if self._buffer.pending(key):
-            self._buffer.flush(
-                key, self._apply_batch(key, blocking=False), wait=False
-            )
+        # re-entrantly, so this replay cannot be refused: the backlog
+        # lands immediately after every publish.
+        self._replay(key, blocking=False)
 
-    def _apply_batch(
-        self,
-        key: ModelKey,
-        blocking: bool,
-        outcome: list[bool] | None = None,
-    ):
-        """The buffer-flush callback: replay a batch via apply_feedback.
+    def _replay(self, key: ModelKey, blocking: bool) -> tuple[int, bool]:
+        """Absorb ``key``'s backlog: (observations applied, refit triggered).
 
-        Maps the service's tri-state result onto the buffer contract
-        (None -> refused, re-queue); ``outcome`` (if given) receives
-        whether an applied batch triggered a refit.
+        The queue is taken inside the trainer-lock hold that absorbs it.
+        A replay refused by a busy trainer leaves the backlog queued and
+        counts it in ``requeued``; a raising absorb puts its batch back,
+        in order, before propagating.
         """
+        taken: list[BufferedObservation] = []
 
-        def apply(items: Sequence[BufferedObservation]) -> bool:
-            result = self._service.apply_feedback(
-                key, _triples(items), blocking=blocking
+        def take() -> list[tuple[object, float, float]]:
+            taken.extend(self._buffer.take(key))
+            return _triples(taken)
+
+        try:
+            triggered = self._service.apply_feedback(
+                key, take, blocking=blocking
             )
-            if result is None:
-                return False
-            if outcome is not None:
-                outcome.append(bool(result))
-            return True
-
-        return apply
+        except BaseException:
+            if taken:
+                self._buffer.putback(key, taken)
+            raise
+        if triggered is None:
+            self._buffer.add("requeued", self._buffer.pending(key))
+            return 0, False
+        return len(taken), triggered
 
     def __repr__(self) -> str:
         return (

@@ -353,28 +353,15 @@ class WorkerServer:
         return "pong"
 
     def _do_register_model(
-        self,
-        table: str | ModelKey,
-        backend: bytes,
-        columns: Sequence[str] = (),
-        refit_backlog: bool = True,
-        initial_errors: Sequence[float] = (),
+        self, table: str | ModelKey, backend: bytes
     ) -> ModelKey:
-        key = self._worker.register_model(
-            table,
-            decode_backend(backend),
-            columns=columns,
-            refit_backlog=refit_backlog,
-            initial_errors=initial_errors,
-        )
+        key = self._worker.register_model(table, decode_backend(backend))
         if self._checkpoints is not None:
             self.checkpoint_key(key)  # durable baseline from the start
         return key
 
-    def _do_unregister_model(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
-        key = normalize_key(table, columns)
+    def _do_unregister_model(self, table: str | ModelKey) -> bytes:
+        key = normalize_key(table)
         payload = encode_backend(self._worker.unregister_model(key))
         self._discard_checkpoints(key)
         return payload
@@ -382,24 +369,14 @@ class WorkerServer:
     def _do_model_keys(self) -> tuple[ModelKey, ...]:
         return tuple(self._worker.model_keys())
 
-    def _do_snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
-        key = normalize_key(table, columns)
-        return encode_snapshot(self._worker.snapshot_for(key))
+    def _do_snapshot_for(self, table: str | ModelKey) -> bytes:
+        return encode_snapshot(self._worker.snapshot_for(normalize_key(table)))
 
-    def _do_feedback_count(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> int:
-        return self._worker.feedback_count(normalize_key(table, columns))
+    def _do_feedback_count(self, table: str | ModelKey) -> int:
+        return self._worker.feedback_count(normalize_key(table))
 
-    def _do_estimate(
-        self,
-        table: str | ModelKey,
-        predicate: object,
-        columns: Sequence[str] = (),
-    ) -> float:
-        return self._worker.estimate(normalize_key(table, columns), predicate)
+    def _do_estimate(self, table: str | ModelKey, predicate: object) -> float:
+        return self._worker.estimate(normalize_key(table), predicate)
 
     def _do_estimate_batch_mixed(
         self, pairs: Sequence[tuple[ModelKey, Sequence[int], object]]
@@ -414,13 +391,9 @@ class WorkerServer:
         return results
 
     def _do_observe(
-        self,
-        table: str | ModelKey,
-        predicate: object,
-        selectivity: float,
-        columns: Sequence[str] = (),
+        self, table: str | ModelKey, predicate: object, selectivity: float
     ) -> bool:
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         # The return value reports whether a refit was triggered; the
         # observation itself is buffered either way, so it always counts
         # toward the checkpoint policy.
@@ -428,11 +401,8 @@ class WorkerServer:
         self._note_write(key)
         return refit_triggered
 
-    def _do_refit_now(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
-        key = normalize_key(table, columns)
-        return encode_snapshot(self._worker.refit_now(key))
+    def _do_refit_now(self, table: str | ModelKey) -> bytes:
+        return encode_snapshot(self._worker.refit_now(normalize_key(table)))
 
     def _do_flush(self, blocking: bool = True) -> int:
         return self._worker.flush(blocking=blocking)
@@ -443,10 +413,8 @@ class WorkerServer:
     def _do_stats(self) -> dict[str, Any]:
         return self._worker.stats_view()
 
-    def _do_migrate_out(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> KeyState:
-        key = normalize_key(table, columns)
+    def _do_migrate_out(self, table: str | ModelKey) -> KeyState:
+        key = normalize_key(table)
         state = self._worker.export_state(
             key, withdraw=True, encode=encode_backend
         )
@@ -459,16 +427,12 @@ class WorkerServer:
             self.checkpoint_key(key)
         return key
 
-    def _do_checkpoint(
-        self,
-        table: str | ModelKey | None = None,
-        columns: Sequence[str] = (),
-    ) -> int:
+    def _do_checkpoint(self, table: str | ModelKey | None = None) -> int:
         """Force a checkpoint of one key (or all) now; returns the count."""
         if self._checkpoints is None:
             return 0
         if table is not None:
-            return int(self.checkpoint_key(normalize_key(table, columns)))
+            return int(self.checkpoint_key(normalize_key(table)))
         return self.checkpoint_all()
 
     def _do_shutdown(self) -> str:

@@ -18,9 +18,10 @@ talks to.  It composes the rest of the subsystem:
   (background by default) and publish a fresh snapshot version, which
   invalidates the cache for that model.
   :meth:`SelectivityService.apply_feedback` is the batch/deferred variant
-  of the same path: already-priced observations absorbed under one lock
-  acquisition, optionally non-blocking — the replay target for the
-  cluster's :class:`~repro.cluster.buffer.ObservationBuffer`.
+  of the same path: already-priced observations, taken from the caller's
+  queue and absorbed in one lock hold, optionally non-blocking — the
+  replay target for the cluster's
+  :class:`~repro.cluster.buffer.ObservationBuffer`.
 * metrics — every call is recorded on a
   :class:`~repro.serving.stats.ServingStats`.
 
@@ -668,33 +669,34 @@ class SelectivityService:
     def apply_feedback(
         self,
         table: str | ModelKey,
-        feedback: Sequence[tuple[PredicateLike, float, float]],
+        take: Callable[[], Sequence[tuple[PredicateLike, float, float]]],
         columns: Sequence[str] = (),
         blocking: bool = True,
     ) -> bool | None:
         """Absorb a batch of already-priced observations under one lock.
 
-        ``feedback`` holds ``(predicate, true_selectivity,
-        served_estimate)`` triples — the estimate each observation was
-        served with, priced by the caller (see :meth:`current_estimate`)
-        *before* queueing.  This is the replay half of the cluster's
-        non-blocking write path: an
-        :class:`~repro.cluster.buffer.ObservationBuffer` enqueues triples
-        without touching the trainer lock and hands them here when the
-        lock is free.
+        ``take`` runs under the key's trainer lock and returns
+        ``(predicate, true_selectivity, served_estimate)`` triples — the
+        estimate each observation was served with, priced by the caller
+        (see :meth:`current_estimate`) *before* queueing.  The batch is
+        absorbed in the same lock hold.  This is the replay half of the
+        cluster's non-blocking write path: the shard's ``take`` pops its
+        :class:`~repro.cluster.buffer.ObservationBuffer` queue, so the
+        trainer lock alone orders replays.
 
-        With ``blocking=False`` the call returns ``None`` immediately,
-        applying nothing, if the trainer lock is held (a refit in
-        flight); the caller re-delivers the same batch later.  Otherwise
-        returns whether the batch triggered a refit submission.
+        With ``blocking=False`` the call returns ``None`` immediately, and
+        never calls ``take``, if the trainer lock is held (a refit in
+        flight).  Otherwise returns whether the batch triggered a refit
+        submission.
         """
         key = self._key(table, columns)
-        feedback = list(feedback)
-        if not feedback:
-            return False
-        decision = self._with_slot(
-            key, self._absorb, feedback, blocking=blocking
-        )
+        feedback: list[tuple[PredicateLike, float, float]] = []
+
+        def absorb(slot: _ServedModel) -> RefitDecision | bool:
+            feedback.extend(take())
+            return bool(feedback) and self._absorb(slot, feedback)
+
+        decision = self._with_slot(key, absorb, blocking=blocking)
         if decision is None:
             return None
         self._stats.add("observations", len(feedback))
@@ -703,8 +705,8 @@ class SelectivityService:
         except ServingError:
             # The batch IS absorbed by now; a failed refit submission
             # (scheduler shut down mid-teardown) must not escape as an
-            # error — the buffer's flush would read it as refusal,
-            # re-queue, and double-apply the same feedback later.
+            # error — the shard would put the batch back in its buffer
+            # and a later replay would apply the same feedback twice.
             return False
 
     def refit_now(

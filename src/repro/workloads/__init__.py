@@ -19,7 +19,6 @@ from repro.workloads.dmv import DMV_SCHEMA, DMVDataset, dmv_dataset, dmv_table
 from repro.workloads.drift import (
     AbruptShiftStream,
     DriftRegime,
-    DriftStream,
 )
 from repro.workloads.joins import (
     JoinQueryGenerator,
@@ -71,6 +70,5 @@ __all__ = [
     "CorrelationDriftScenario",
     "DriftPhase",
     "DriftRegime",
-    "DriftStream",
     "AbruptShiftStream",
 ]

@@ -12,7 +12,7 @@ exact selectivities against a generated dataset):
 benchmark's scenario: how fast does the estimator's error come back
 down after the jump?).
 
-Every stream is fully determined by its constructor arguments: one base
+A stream is fully determined by its constructor arguments: one base
 standard-normal sample (drawn once from ``seed``) is re-shaped per
 regime by a mean/correlation/scale transform, so two instances with the
 same parameters label identical predicates with identical
@@ -37,7 +37,6 @@ from repro.workloads.synthetic import correlation_matrix
 
 __all__ = [
     "DriftRegime",
-    "DriftStream",
     "AbruptShiftStream",
 ]
 
@@ -67,20 +66,22 @@ class DriftRegime:
         # correlation validity is checked by correlation_matrix at use.
 
 
-class DriftStream:
-    """Base class: a deterministic labelled feedback stream under drift.
+class AbruptShiftStream:
+    """A deterministic labelled feedback stream whose data distribution
+    jumps from ``before`` to ``after`` at query index ``shift_at``.
 
-    Subclasses define :meth:`regime_at` — which :class:`DriftRegime`
-    governs the data when query ``index`` executes.  The base class owns
-    the shared machinery: one base noise sample reused by every regime
-    (so regimes differ only by their parameters, not by sampling
-    variance), a seeded query generator, per-regime dataset caching, and
-    the probe helper tests/benchmarks use to measure estimation error
-    against the distribution *currently* in effect.
+    Both regimes reshape one base noise sample (so they differ only by
+    their parameters, not by sampling variance); a seeded query
+    generator draws the predicates, each regime's dataset is cached, and
+    :meth:`probes` measures estimation error against the distribution
+    *currently* in effect.
     """
 
     def __init__(
         self,
+        shift_at: int,
+        before: DriftRegime | None = None,
+        after: DriftRegime | None = None,
         dimension: int = 2,
         rows: int = 20_000,
         min_width: float = 0.15,
@@ -91,13 +92,24 @@ class DriftStream:
             raise WorkloadError("dimension must be >= 1")
         if rows < 1:
             raise WorkloadError("rows must be >= 1")
+        if shift_at < 1:
+            raise WorkloadError("shift_at must be >= 1")
+        self._shift_at = shift_at
+        self._before = before or DriftRegime(
+            mean=(0.3,) * dimension, correlation=0.4
+        )
+        self._after = after or DriftRegime(
+            mean=(0.7,) * dimension, correlation=-0.2
+        )
+        if self._before == self._after:
+            raise WorkloadError("before and after regimes must differ")
         self._dimension = dimension
         self._domain = Hyperrectangle.unit(dimension)
         self._seed = seed
         base_rng = np.random.default_rng(seed)
-        # One standard-normal sample shared by every regime: a regime's
+        # One standard-normal sample shared by both regimes: a regime's
         # dataset is a deterministic reshape of this, so the only thing
-        # that changes across a shift is the distribution itself.
+        # that changes across the shift is the distribution itself.
         self._base = base_rng.standard_normal((rows, dimension))
         self._generator = RandomRangeQueryGenerator(
             self._domain, min_width=min_width, max_width=max_width, seed=seed + 1
@@ -106,16 +118,15 @@ class DriftStream:
         self._position = 0
         self._datasets: dict[DriftRegime, np.ndarray] = {}
 
-    # ------------------------------------------------------------------
-    # The drift schedule (subclass responsibility)
-    # ------------------------------------------------------------------
+    @property
+    def shift_at(self) -> int:
+        """Absolute query index of the jump."""
+        return self._shift_at
+
     def regime_at(self, index: int) -> DriftRegime:
         """The data regime in effect when query ``index`` executes."""
-        raise NotImplementedError
+        return self._before if index < self._shift_at else self._after
 
-    # ------------------------------------------------------------------
-    # Shared machinery
-    # ------------------------------------------------------------------
     @property
     def domain(self) -> Hyperrectangle:
         """The unit-cube domain every predicate and regime lives in."""
@@ -202,46 +213,4 @@ class DriftStream:
         )
         predicates = generator.generate(count)
         return list(zip(predicates, self.truth(predicates, index=index)))
-
-
-class AbruptShiftStream(DriftStream):
-    """The distribution jumps from ``before`` to ``after`` at ``shift_at``."""
-
-    def __init__(
-        self,
-        shift_at: int,
-        before: DriftRegime | None = None,
-        after: DriftRegime | None = None,
-        dimension: int = 2,
-        rows: int = 20_000,
-        min_width: float = 0.15,
-        max_width: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            dimension=dimension,
-            rows=rows,
-            min_width=min_width,
-            max_width=max_width,
-            seed=seed,
-        )
-        if shift_at < 1:
-            raise WorkloadError("shift_at must be >= 1")
-        self._shift_at = shift_at
-        self._before = before or DriftRegime(
-            mean=(0.3,) * dimension, correlation=0.4
-        )
-        self._after = after or DriftRegime(
-            mean=(0.7,) * dimension, correlation=-0.2
-        )
-        if self._before == self._after:
-            raise WorkloadError("before and after regimes must differ")
-
-    @property
-    def shift_at(self) -> int:
-        """Absolute query index of the jump."""
-        return self._shift_at
-
-    def regime_at(self, index: int) -> DriftRegime:
-        return self._before if index < self._shift_at else self._after
 

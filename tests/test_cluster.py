@@ -23,8 +23,10 @@ Covers the contracts the cluster makes:
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -181,79 +183,33 @@ class TestObservationBuffer:
             predicate=index, selectivity=0.1 * index, served_estimate=0.0
         )
 
-    def test_flush_applies_in_arrival_order(self):
+    def test_take_pops_in_arrival_order(self):
         buffer = ObservationBuffer()
         for index in range(5):
             buffer.append("k", self.observation(index))
-        seen: list[int] = []
-
-        def apply(items):
-            seen.extend(item.predicate for item in items)
-            return True
-
-        assert buffer.flush("k", apply) == 5
-        assert seen == [0, 1, 2, 3, 4]
+        assert [item.predicate for item in buffer.take("k")] == [0, 1, 2, 3, 4]
         assert buffer.pending("k") == 0
         assert buffer.applied == 5
+        assert buffer.take("k") == []
 
-    def test_refused_batch_requeues_in_order(self):
+    def test_putback_goes_ahead_of_later_arrivals(self):
         buffer = ObservationBuffer()
         for index in range(3):
             buffer.append("k", self.observation(index))
-        assert buffer.flush("k", lambda items: False) == 0
-        assert buffer.pending("k") == 3
+        taken = buffer.take("k")
+        buffer.append("k", self.observation(3))  # arrives mid-absorb
+        buffer.putback("k", taken)  # the absorb raised
+        assert buffer.pending("k") == 4
         assert buffer.requeued == 3
-        buffer.append("k", self.observation(3))  # arrives after the refusal
-        seen: list[int] = []
+        assert buffer.applied == 0
+        assert [item.predicate for item in buffer.take("k")] == [0, 1, 2, 3]
+        assert buffer.applied == 4
 
-        def apply(items):
-            seen.extend(item.predicate for item in items)
-            return True
-
-        assert buffer.flush("k", apply) == 4
-        assert seen == [0, 1, 2, 3]
-
-    def test_nonwaiting_flush_skips_when_contended(self):
+    def test_taken_queue_is_released(self):
         buffer = ObservationBuffer()
         buffer.append("k", self.observation(0))
-        entered = threading.Event()
-        release = threading.Event()
-
-        def slow_apply(items):
-            entered.set()
-            release.wait(timeout=5)
-            return True
-
-        worker = threading.Thread(
-            target=lambda: buffer.flush("k", slow_apply)
-        )
-        worker.start()
-        assert entered.wait(timeout=5)
-        # Another flusher is mid-apply: the opportunistic path backs off.
-        assert buffer.flush("k", lambda items: True, wait=False) == 0
-        release.set()
-        worker.join(timeout=5)
-        assert buffer.applied == 1
-
-    def test_raising_apply_requeues_instead_of_losing_items(self):
-        """Regression: a raising apply callback used to drop the whole
-        drained batch (the queue was already cleared)."""
-        buffer = ObservationBuffer()
-        for index in range(3):
-            buffer.append("k", self.observation(index))
-
-        def exploding(items):
-            raise ServingError("key migrated away")
-
-        with pytest.raises(ServingError):
-            buffer.flush("k", exploding)
-        assert buffer.pending("k") == 3
-        assert buffer.requeued == 3
-        seen: list[int] = []
-        buffer.flush("k", lambda items: seen.extend(
-            item.predicate for item in items
-        ) or True)
-        assert seen == [0, 1, 2]  # order survived the failed flush
+        buffer.take("k")
+        assert len(buffer._queues) == 0  # no empty deque left behind
 
     def test_counters_and_keys(self):
         buffer = ObservationBuffer()
@@ -275,13 +231,7 @@ class TestObservationBuffer:
         assert buffer.discard("k") == []
         # Per-key state does not accumulate for keys that moved away.
         assert "k" not in buffer.keys()
-        assert len(buffer._queues) == 0 and len(buffer._flush_locks) == 0
-
-    def test_flushed_empty_queue_is_released(self):
-        buffer = ObservationBuffer()
-        buffer.append("k", self.observation(0))
-        buffer.flush("k", lambda items: True)
-        assert len(buffer._queues) == 0  # no empty deque left behind
+        assert len(buffer._queues) == 0
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +379,41 @@ class _SlowRefitQuickSel(QuickSel):
         return super().refit()
 
 
+@contextmanager
+def _trainer_lock_held(worker: ShardWorker, key: ModelKey):
+    """Hold ``key``'s trainer lock on another thread for the block."""
+    holding = threading.Event()
+    release = threading.Event()
+
+    def hold():
+        with worker.service._served_model(key).lock:
+            holding.set()
+            release.wait(timeout=10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert holding.wait(timeout=5)
+    try:
+        yield
+    finally:
+        release.set()
+        holder.join(timeout=5)
+    assert not holder.is_alive()
+
+
 class TestNonBlockingObserve:
+    def buffered_key(self, cluster_world, make_cluster):
+        """A shard key with 40 trained observations and 3 buffered."""
+        _, base, probes, _ = cluster_world
+        cluster = make_cluster(1)
+        key = cluster.register_model("t", copy.deepcopy(base))
+        worker = cluster.shard(cluster.shard_ids[0])
+        with _trainer_lock_held(worker, key):
+            for predicate in probes[:3]:
+                assert worker.observe(key, predicate, 0.5) is False
+        assert worker.buffer.pending(key) == 3
+        return worker, key, probes[:3]
+
     def test_observe_does_not_wait_for_inflight_refit(self, cluster_world):
         dataset, _, probes, feedback = cluster_world
         cluster = ShardedSelectivityService(
@@ -468,10 +452,9 @@ class TestNonBlockingObserve:
     def test_blocking_flush_during_refit_does_not_deadlock(
         self, cluster_world
     ):
-        """Regression: the publish listener used to wait on the per-key
-        flush mutex while still holding the trainer lock; a concurrent
-        blocking flush (holding the mutex, waiting on the trainer lock)
-        deadlocked the refit thread and wedged the shard forever."""
+        """Regression: a blocking flush waiting on the trainer lock while
+        a refit holds it must not wedge the refit thread's publish-time
+        replay, nor be wedged by it."""
         dataset, _, probes, feedback = cluster_world
         cluster = ShardedSelectivityService(
             num_shards=1, scheduler_mode="background"
@@ -491,17 +474,16 @@ class TestNonBlockingObserve:
             time.sleep(0.15)  # the refit now owns the trainer lock
             cluster.observe("hot", probes[0], 0.5)  # buffered, lock busy
             assert worker.buffer.pending(key) == 1
-            # Blocking flush: takes the flush mutex, drains, and waits on
-            # the trainer lock — exactly the shape that used to deadlock
-            # against the refit thread's publish listener.
+            # Blocking flush: waits on the trainer lock the refit holds,
+            # with the backlog still queued.
             flusher = threading.Thread(
                 target=lambda: worker.flush(key, blocking=True)
             )
             flusher.start()
-            time.sleep(0.1)  # flusher has drained and owns the flush mutex
+            time.sleep(0.1)  # the flusher now waits on the trainer lock
             # A second write lands while the flusher waits: at publish
-            # time the buffer is non-empty, so the listener runs — with
-            # wait=True it would block on the flusher's mutex forever.
+            # time the buffer is non-empty, so the listener replays on the
+            # refit thread while the flusher is still parked on the lock.
             cluster.observe("hot", probes[1], 0.5)
             refitting.join(timeout=10)
             flusher.join(timeout=10)
@@ -585,6 +567,153 @@ class TestNonBlockingObserve:
                 cluster.observe("t", predicate, selectivity)
             cluster.drain()
             assert cluster.snapshot_for("t").version > version_before
+        finally:
+            cluster.close()
+
+    def test_feedback_count_reads_one_moment(
+        self, cluster_world, make_cluster, monkeypatch
+    ):
+        """A replay landing between the trainer's count and the buffer's
+        must not hide its batch from both."""
+        worker, key, _ = self.buffered_key(cluster_world, make_cluster)
+        reader = threading.get_ident()
+        pending = ObservationBuffer.pending
+        raced: list[threading.Thread] = []
+
+        def racing_pending(buffer, target):
+            if threading.get_ident() == reader and not raced:
+                raced.append(threading.Thread(
+                    target=lambda: worker.flush(key, blocking=False)
+                ))
+                raced[0].start()
+                raced[0].join(timeout=5)
+            return pending(buffer, target)
+
+        monkeypatch.setattr(ObservationBuffer, "pending", racing_pending)
+        assert worker.feedback_count(key) == 43
+        assert raced and not raced[0].is_alive()
+        assert worker.flush(key) == 3  # the raced replay was refused
+        assert worker.feedback_count(key) == 43
+
+    def test_a_waiting_replay_hides_no_observation(
+        self, cluster_world, make_cluster, monkeypatch
+    ):
+        """A replay waiting for the trainer lock has not taken the queue
+        yet, so its batch still counts as buffered."""
+        worker, key, _ = self.buffered_key(cluster_world, make_cluster)
+        entered = threading.Event()
+        release = threading.Event()
+        apply_feedback = SelectivityService.apply_feedback
+
+        def waiting_apply(service, *args, **kwargs):
+            entered.set()
+            release.wait(timeout=5)
+            return apply_feedback(service, *args, **kwargs)
+
+        monkeypatch.setattr(SelectivityService, "apply_feedback", waiting_apply)
+        applied: list[int] = []
+        flusher = threading.Thread(
+            target=lambda: applied.append(worker.flush(key))
+        )
+        flusher.start()
+        try:
+            assert entered.wait(timeout=5)
+            assert worker.feedback_count(key) == 43
+        finally:
+            release.set()
+            flusher.join(timeout=5)
+        assert not flusher.is_alive()
+        assert applied == [3]
+        assert worker.feedback_count(key) == 43
+
+    def test_raising_absorb_puts_the_batch_back_in_order(
+        self, cluster_world, make_cluster, monkeypatch
+    ):
+        """A batch whose absorb raises is not lost: it goes back to the
+        front of the queue and the next flush applies it, in order."""
+        worker, key, predicates = self.buffered_key(
+            cluster_world, make_cluster
+        )
+        trainer = worker.service._served_model(key).trainer
+        observe_many = trainer.observe_many
+        batches: list[list[object]] = []
+
+        def failing_once(pairs):
+            batches.append([predicate for predicate, _ in pairs])
+            if len(batches) == 1:
+                raise RuntimeError("absorb failed")
+            return observe_many(pairs)
+
+        monkeypatch.setattr(trainer, "observe_many", failing_once)
+        requeued = worker.buffer.requeued
+        with pytest.raises(RuntimeError):
+            worker.flush(key)
+        assert worker.buffer.pending(key) == 3
+        assert worker.buffer.requeued == requeued + 3
+        assert worker.feedback_count(key) == 43
+        assert worker.flush(key) == 3
+        assert batches == [predicates, predicates]
+        assert worker.buffer.pending(key) == 0
+        assert worker.feedback_count(key) == 43
+
+    def test_concurrent_writes_and_refits_lose_no_observation(
+        self, cluster_world
+    ):
+        """Writers on more threads than cores race background refits and
+        their publish-time replays; a reader never counts fewer
+        observations than were acknowledged before its read."""
+        _, base, probes, _ = cluster_world
+        cluster = ShardedSelectivityService(
+            num_shards=1,
+            scheduler_mode="background",
+            policy=RefitPolicy(min_new_observations=16),
+        )
+        writers, per_writer = 4, 40
+        acknowledged = [0] * writers
+        start = threading.Barrier(writers + 1, timeout=10.0)
+        low_reads: list[tuple[int, int]] = []
+        try:
+            key = cluster.register_model("t", copy.deepcopy(base))
+            worker = cluster.shard(cluster.shard_ids[0])
+
+            def write(index: int) -> None:
+                start.wait()
+                for step in range(per_writer):
+                    predicate = probes[(index + step) % len(probes)]
+                    worker.observe(key, predicate, 0.25)
+                    acknowledged[index] += 1
+
+            threads = [
+                threading.Thread(target=write, args=(index,))
+                for index in range(writers)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                start.wait()
+                while any(thread.is_alive() for thread in threads):
+                    floor = 40 + sum(acknowledged)
+                    count = worker.feedback_count(key)
+                    if count < floor:
+                        low_reads.append((count, floor))
+                for thread in threads:
+                    thread.join(10.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert low_reads == []
+            cluster.drain(timeout=30)
+            total = 40 + writers * per_writer
+            assert worker.feedback_count(key) == total
+            counters = worker.buffer.counters()
+            assert counters["pending"] == 0
+            assert counters["applied"] == writers * per_writer
+            assert counters["appended"] == (
+                counters["applied"] + counters["pending"]
+                + counters["discarded"]
+            )
         finally:
             cluster.close()
 

@@ -836,8 +836,8 @@ class TestHandOffSurface:
             (predicate, selectivity, service.current_estimate(key, predicate))
             for predicate, selectivity in feedback[:5]
         ]
-        assert service.apply_feedback(key, []) is False
-        triggered = service.apply_feedback(key, triples)
+        assert service.apply_feedback(key, lambda: []) is False
+        triggered = service.apply_feedback(key, lambda: triples)
         assert triggered is True  # count trigger fired on the batch
         assert service.stats.observations == 5
         assert service.feedback_count(key) == 5
@@ -853,6 +853,11 @@ class TestHandOffSurface:
         holding = threading.Event()
         release = threading.Event()
         refused: list[object] = []
+        taken: list[int] = []
+
+        def take():
+            taken.append(1)
+            return [(feedback[0][0], 0.5, 0.5)]
 
         def hold_lock():
             with service._served_model(key).lock:
@@ -862,14 +867,12 @@ class TestHandOffSurface:
         holder = threading.Thread(target=hold_lock)
         holder.start()
         assert holding.wait(timeout=5)
-        refused.append(
-            service.apply_feedback(
-                key, [(feedback[0][0], 0.5, 0.5)], blocking=False
-            )
-        )
+        refused.append(service.apply_feedback(key, take, blocking=False))
         release.set()
         holder.join(timeout=5)
+        assert not holder.is_alive()
         assert refused == [None]  # refused, nothing applied
+        assert taken == []  # the caller's queue was never touched
         assert service.feedback_count(key) == 0
 
     def test_estimate_batch_mixed_matches_per_key_batches(
