@@ -182,7 +182,7 @@ class _SupervisedFleet:
             return list(self.events)
 
     def owner_of(self, table: str) -> str:
-        return self.server.gateway.router.route(normalize_key(table, ()))
+        return self.server.gateway.router.route(normalize_key(table))
 
     def force_checkpoints(self) -> None:
         """Ask every live worker to checkpoint all its keys now."""

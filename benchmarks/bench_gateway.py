@@ -291,7 +291,7 @@ def _pick_split_tables(router, candidates) -> tuple[str, str]:
 
     by_worker: dict[str, str] = {}
     for table in candidates:
-        by_worker.setdefault(router.route(normalize_key(table, ())), table)
+        by_worker.setdefault(router.route(normalize_key(table)), table)
         if len(by_worker) == 2:
             break
     if len(by_worker) < 2:

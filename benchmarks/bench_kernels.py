@@ -156,7 +156,7 @@ def run_fast_path_benchmark(
         # against the same live objects: key normalisation, a locked
         # registry read, structural cache-key derivation, a locked
         # cache round-trip, and a locked stats record — every request.
-        legacy_key = normalize_key(table, ())
+        legacy_key = normalize_key(table)
         start = time.perf_counter()
         snapshot = registry.current(legacy_key)
         cache_key = (

@@ -135,11 +135,9 @@ class ShardedSelectivityService:
             except KeyError as error:
                 raise ClusterError(f"unknown shard {shard_id!r}") from error
 
-    def shard_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> str:
+    def shard_for(self, table: str | ModelKey) -> str:
         """Which shard id a key routes to under the current ring."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         with self._lock:
             return self._router.route(key)
 
@@ -150,7 +148,6 @@ class ShardedSelectivityService:
         self,
         table: str | ModelKey,
         trainer: TrainableBackend,
-        columns: Sequence[str] = (),
     ) -> ModelKey:
         """Register a trainable backend on the shard its key routes to.
 
@@ -164,7 +161,7 @@ class ShardedSelectivityService:
         a shard the ring no longer routes the key to — or on a shard
         being retired — leaving the model unreachable.
         """
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         trainer = as_backend(trainer)
         # Absorb any training backlog *before* taking the routing lock:
         # the trainer is not shared yet, and a QP solve (or a data
@@ -179,12 +176,6 @@ class ShardedSelectivityService:
             worker.register_model(key, trainer)
         return key
 
-    def key_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelKey:
-        """Normalise ``(table, columns)`` to the :class:`ModelKey` it names."""
-        return normalize_key(table, columns)
-
     def model_keys(self) -> Sequence[ModelKey]:
         """Every key served anywhere in the cluster, sorted."""
         with self._lock:
@@ -194,43 +185,31 @@ class ShardedSelectivityService:
             keys.extend(worker.model_keys())
         return tuple(sorted(keys))
 
-    def snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
+    def snapshot_for(self, table: str | ModelKey) -> ModelSnapshot:
         """The snapshot currently serving a key, wherever it lives."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._with_worker(key, lambda worker: worker.snapshot_for(key))
 
-    def feedback_count(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> int:
+    def feedback_count(self, table: str | ModelKey) -> int:
         """Observations accepted for a key (absorbed plus still buffered)."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._with_worker(key, lambda worker: worker.feedback_count(key))
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def estimate(
-        self,
-        table: str | ModelKey,
-        predicate: object,
-        columns: Sequence[str] = (),
-    ) -> float:
+    def estimate(self, table: str | ModelKey, predicate: object) -> float:
         """Scalar estimate from the owning shard's current snapshot."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._with_worker(
             key, lambda worker: worker.estimate(key, predicate)
         )
 
     def estimate_batch(
-        self,
-        table: str | ModelKey,
-        predicates: Sequence[object],
-        columns: Sequence[str] = (),
+        self, table: str | ModelKey, predicates: Sequence[object]
     ) -> np.ndarray:
         """Single-key burst: routed whole to one shard's vectorised path."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._with_worker(
             key, lambda worker: worker.estimate_batch(key, predicates)
         )
@@ -298,7 +277,6 @@ class ShardedSelectivityService:
         table: str | ModelKey,
         predicate: object,
         selectivity: float,
-        columns: Sequence[str] = (),
     ) -> bool:
         """Record feedback via the owning shard's observation buffer.
 
@@ -307,16 +285,14 @@ class ShardedSelectivityService:
         snapshot publish.  Returns True when the (opportunistic) replay
         ran and triggered a refit submission.
         """
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._with_worker(
             key, lambda worker: worker.observe(key, predicate, selectivity)
         )
 
-    def refit_now(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
+    def refit_now(self, table: str | ModelKey) -> ModelSnapshot:
         """Flush the key's backlog and retrain synchronously on its shard."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._with_worker(key, lambda worker: worker.refit_now(key))
 
     def flush(self, blocking: bool = True) -> int:

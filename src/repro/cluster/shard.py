@@ -49,7 +49,7 @@ from repro.estimators.backend import TrainableBackend
 from repro.exceptions import ServingError
 from repro.serving.cache import EstimateCache
 from repro.serving.policy import RefitPolicy
-from repro.serving.registry import EstimatorRegistry, ModelKey
+from repro.serving.registry import ModelKey
 from repro.serving.scheduler import RefitScheduler
 from repro.serving.service import FastSlot, SelectivityService
 from repro.serving.snapshot import ModelSnapshot
@@ -112,11 +112,9 @@ class ShardWorker:
         self._shard_id = shard_id
         self._scheduler = RefitScheduler(scheduler_mode)
         self._service = SelectivityService(
-            registry=EstimatorRegistry(),
             cache=EstimateCache(cache_capacity),
             policy=policy,
             scheduler=self._scheduler,
-            stats=ServingStats(),
         )
         self._buffer = ObservationBuffer()
         # Per-key fast slots for scalar reads: snapshot cell, cache, and
@@ -395,7 +393,7 @@ class ShardWorker:
         self._flush_read_slots()
 
     def close(self) -> None:
-        """Shut the shard down (service listener, scheduler). Idempotent."""
+        """Shut the shard down (service, scheduler). Idempotent."""
         self._flush_read_slots()
         self._service.close()
         self._scheduler.shutdown()

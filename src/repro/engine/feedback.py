@@ -38,6 +38,7 @@ from repro.estimators.base import QueryDrivenEstimator
 from repro.core.quicksel import QuickSel
 from repro.exceptions import ServingError
 from repro.serving.adapter import SelectivityServing, ServingEstimator
+from repro.serving.registry import normalize_key
 
 __all__ = ["FeedbackLoop"]
 
@@ -67,7 +68,6 @@ class FeedbackLoop:
         table_name: str,
         service: SelectivityServing,
         trainer: TrainableBackend | None = None,
-        columns: Sequence[str] = (),
     ) -> ServingEstimator:
         """Route this table's feedback through a selectivity backend.
 
@@ -80,17 +80,17 @@ class FeedbackLoop:
         :class:`~repro.estimators.backend.TrainableBackend`: QuickSel, an
         adapted baseline estimator, or a bare query-driven/scan-based
         estimator the service will wrap — it is first registered with the
-        backend under ``(table_name, columns)``; otherwise the key must
-        already exist there.  Returns the
+        backend under the key ``table_name`` names; otherwise that key
+        must already exist there.  Returns the
         :class:`~repro.serving.adapter.ServingEstimator` adapter for the
         key so callers can hand the served model to the optimizer.
         """
         if trainer is not None:
-            key = service.register_model(table_name, trainer, columns=columns)
+            key = service.register_model(table_name, trainer)
         else:
-            key = service.key_for(table_name, columns)
+            key = normalize_key(table_name)
             if key not in service.model_keys():
-                # A snapshot in a shared registry is not enough: the
+                # A snapshot in the service's registry is not enough: the
                 # feedback path needs this service to own a trainer.
                 raise ServingError(
                     f"service owns no trainer for key {key}; pass trainer= "

@@ -46,7 +46,7 @@ from repro.exceptions import JoinError
 from repro.joins.sketch import JoinBoundSketch, pessimistic_upper_bound
 from repro.joins.spec import JoinSpec
 from repro.serving.adapter import SelectivityServing
-from repro.serving.registry import ModelKey
+from repro.serving.registry import ModelKey, normalize_key
 from repro.serving.stats import ServingStats
 
 __all__ = [
@@ -153,10 +153,10 @@ class SandwichedJoinEstimator:
         self._right_sketch = right_sketch
         self._left_dimension = left_dimension
         self._right_dimension = right_dimension
-        self._left_model = service.key_for(
+        self._left_model = normalize_key(
             left_model if left_model is not None else spec.left_table
         )
-        self._right_model = service.key_for(
+        self._right_model = normalize_key(
             right_model if right_model is not None else spec.right_table
         )
         self._lower_floor_rows = float(lower_floor_rows)

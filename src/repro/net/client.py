@@ -222,74 +222,49 @@ class RemoteSelectivityService:
     # ------------------------------------------------------------------
     # SelectivityServing surface
     # ------------------------------------------------------------------
-    def key_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelKey:
-        """Normalise ``(table, columns)`` locally — no round trip."""
-        return normalize_key(table, columns)
-
-    def register_model(
-        self,
-        table: str | ModelKey,
-        trainer: object,
-        columns: Sequence[str] = (),
-    ) -> ModelKey:
+    def register_model(self, table: str | ModelKey, trainer: object) -> ModelKey:
         """Encode the trainer and install it on the remote fleet."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._call(
             "register_model",
             {"table": key, "backend": encode_backend(trainer)},
         )
 
-    def unregister_model(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
+    def unregister_model(self, table: str | ModelKey) -> bytes:
         """Withdraw a key's backend; returns the encoded trainer bytes."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._call("unregister_model", {"table": key}, timeout=None)
 
     def model_keys(self) -> tuple[ModelKey, ...]:
         """Every key served by the remote fleet, sorted."""
         return tuple(self._call("model_keys"))
 
-    def snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
+    def snapshot_for(self, table: str | ModelKey) -> ModelSnapshot:
         """The remote snapshot currently serving a key, decoded."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return decode_snapshot(self._call("snapshot_for", {"table": key}))
 
-    def feedback_count(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> int:
+    def feedback_count(self, table: str | ModelKey) -> int:
         """Observations accepted for a key (absorbed plus buffered)."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._call("feedback_count", {"table": key})
 
-    def estimate(
-        self,
-        table: str | ModelKey,
-        predicate: object,
-        columns: Sequence[str] = (),
-    ) -> float:
+    def estimate(self, table: str | ModelKey, predicate: object) -> float:
         """Scalar estimate from the remote snapshot."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._call(
             "estimate", {"table": key, "predicate": predicate}
         )
 
     def estimate_batch(
-        self,
-        table: str | ModelKey,
-        predicates: Sequence[object],
-        columns: Sequence[str] = (),
+        self, table: str | ModelKey, predicates: Sequence[object]
     ) -> np.ndarray:
         """Batched single-key estimates (one remote vectorised pass).
 
         Sent as a one-group ``estimate_batch_mixed`` burst; plain box
         predicates travel as one :class:`BoxBatch` of rows.
         """
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         payload = _payload(predicates)
         return self._call(
             "estimate_batch_mixed",
@@ -317,10 +292,9 @@ class RemoteSelectivityService:
         table: str | ModelKey,
         predicate: object,
         selectivity: float,
-        columns: Sequence[str] = (),
     ) -> bool:
         """Record one observation remotely (never auto-retried)."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return self._call(
             "observe",
             {"table": key, "predicate": predicate, "selectivity": selectivity},
@@ -329,11 +303,9 @@ class RemoteSelectivityService:
     # ------------------------------------------------------------------
     # Lifecycle and admin passthrough
     # ------------------------------------------------------------------
-    def refit_now(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
+    def refit_now(self, table: str | ModelKey) -> ModelSnapshot:
         """Flush the key's backlog and retrain synchronously (unbounded)."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return decode_snapshot(
             self._call("refit_now", {"table": key}, timeout=None)
         )

@@ -104,6 +104,14 @@ __all__ = ["SelectivityGateway", "GatewayServer"]
 #: The degraded answer for a key whose snapshot the gateway never saw.
 DEGRADED_PRIOR = 0.5
 
+#: Delivered writes each key's journal keeps for :meth:`resync_worker`.
+#: Keep it at least the workers' ``checkpoint_every``, or a restore may
+#: lose acknowledged feedback (counted in ``lost_writes``, never silent).
+WRITE_JOURNAL_CAPACITY = 1024
+
+#: Seconds a worker link waits to (re)connect.
+CONNECT_TIMEOUT = 10.0
+
 #: One key's slice of a burst: the key, its burst positions, its payload.
 _Group = tuple[ModelKey, list[int], Sequence[object] | BoxBatch]
 
@@ -117,13 +125,11 @@ class _WorkerLink:
         host: str,
         port: int,
         stats: GatewayStats,
-        connect_timeout: float = 10.0,
     ) -> None:
         self.name = name
         self.host = host
         self.port = port
         self._stats = stats
-        self._connect_timeout = connect_timeout
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -150,7 +156,7 @@ class _WorkerLink:
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(self.host, self.port),
-                    self._connect_timeout,
+                    CONNECT_TIMEOUT,
                 )
             except (OSError, asyncio.TimeoutError) as error:
                 raise WorkerUnavailableError(
@@ -267,11 +273,11 @@ class _WriteJournal:
 
     __slots__ = ("base", "delivered", "recent", "pending")
 
-    def __init__(self, base: int, journal_capacity: int) -> None:
+    def __init__(self, base: int) -> None:
         self.base = base
         self.delivered = 0
         self.recent: deque[tuple[object, float]] = deque(
-            maxlen=max(1, journal_capacity)
+            maxlen=WRITE_JOURNAL_CAPACITY
         )
         self.pending: deque[tuple[object, float]] = deque()
 
@@ -290,7 +296,6 @@ class SelectivityGateway:
         breaker_threshold: int = 5,
         breaker_cooldown: float = 1.0,
         write_buffer_capacity: int = 0,
-        write_journal_capacity: int = 1024,
     ) -> None:
         """``workers`` maps worker name → ``(host, port)``.
 
@@ -313,11 +318,9 @@ class SelectivityGateway:
         owner is down — buffered writes are replayed on recovery, which
         trades the plain path's "an ack means the worker has it" for
         "an ack means the fleet will eventually have it".
-        ``write_journal_capacity`` bounds the per-key journal of
+        :data:`WRITE_JOURNAL_CAPACITY` bounds the per-key journal of
         delivered writes that :meth:`resync_worker` re-delivers after a
-        checkpoint restore; size it at least as large as the workers'
-        ``checkpoint_every`` or restores may lose acknowledged feedback
-        (counted in ``lost_writes``, never silent).
+        checkpoint restore.
         """
         if not workers:
             raise ClusterError("a gateway needs at least one worker")
@@ -327,8 +330,8 @@ class SelectivityGateway:
             raise ClusterError("breaker_threshold must be at least 1")
         if breaker_cooldown <= 0:
             raise ClusterError("breaker_cooldown must be positive")
-        if write_buffer_capacity < 0 or write_journal_capacity < 0:
-            raise ClusterError("write capacities must be non-negative")
+        if write_buffer_capacity < 0:
+            raise ClusterError("write_buffer_capacity must be non-negative")
         self._stats = GatewayStats()
         self._links = {
             name: _WorkerLink(name, host, port, self._stats)
@@ -346,7 +349,6 @@ class SelectivityGateway:
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
         self._write_buffer_capacity = write_buffer_capacity
-        self._write_journal_capacity = write_journal_capacity
         self._rng = random.Random()
         self._breakers = {name: self._new_breaker() for name in workers}
         # Both caches are touched only from the gateway's event loop, so
@@ -520,14 +522,11 @@ class SelectivityGateway:
     # Model lifecycle
     # ------------------------------------------------------------------
     async def register_model(
-        self,
-        table: str | ModelKey,
-        backend: bytes,
-        columns: Sequence[str] = (),
+        self, table: str | ModelKey, backend: bytes
     ) -> ModelKey:
         """Install an :func:`~repro.net.protocol.encode_backend` payload
         on the worker its key routes to."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         result = await self._call_routed(
             key, "register_model", {"table": key, "backend": backend}
         )
@@ -537,22 +536,17 @@ class SelectivityGateway:
         # until a later snapshot_for or resync refreshes it.
         try:
             await self._refresh_snapshot(key)
-            if self._write_journal_capacity or self._write_buffer_capacity:
-                base = await self._call_routed(
-                    key, "feedback_count", {"table": key}
-                )
-                self._journals[key] = _WriteJournal(
-                    int(base), self._write_journal_capacity
-                )
+            base = await self._call_routed(
+                key, "feedback_count", {"table": key}
+            )
+            self._journals[key] = _WriteJournal(int(base))
         except (WorkerUnavailableError, NetError, ServingError):
             pass
         return result
 
-    async def unregister_model(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
+    async def unregister_model(self, table: str | ModelKey) -> bytes:
         """Withdraw a key's backend; returns the encoded trainer."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         payload = await self._call_routed(
             key, "unregister_model", {"table": key}
         )
@@ -579,11 +573,9 @@ class SelectivityGateway:
             keys.extend(worker_keys)
         return tuple(sorted(keys))
 
-    async def snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
+    async def snapshot_for(self, table: str | ModelKey) -> bytes:
         """The owning worker's current snapshot, wire-encoded."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         payload = await self._call_routed(key, "snapshot_for", {"table": key})
         try:
             self._snapshots[key] = decode_snapshot(payload)
@@ -591,11 +583,9 @@ class SelectivityGateway:
             pass  # an undecodable payload must not fail the passthrough
         return payload
 
-    async def feedback_count(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> int:
+    async def feedback_count(self, table: str | ModelKey) -> int:
         """Observations accepted for a key (absorbed plus buffered)."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         return await self._call_routed(key, "feedback_count", {"table": key})
 
     # ------------------------------------------------------------------
@@ -623,18 +613,13 @@ class SelectivityGateway:
         self._stats.add("degraded_estimates", len(predicates))
         return values
 
-    async def estimate(
-        self,
-        table: str | ModelKey,
-        predicate: object,
-        columns: Sequence[str] = (),
-    ) -> float:
+    async def estimate(self, table: str | ModelKey, predicate: object) -> float:
         """Scalar estimate from the owning worker's current snapshot.
 
         Falls back to the degraded path (last-known snapshot, then
         :data:`DEGRADED_PRIOR`) when the owner is unreachable.
         """
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         try:
             return await self._call_routed(
                 key, "estimate", {"table": key, "predicate": predicate}
@@ -733,7 +718,6 @@ class SelectivityGateway:
         table: str | ModelKey,
         predicate: object,
         selectivity: float,
-        columns: Sequence[str] = (),
     ) -> bool:
         """Record feedback on the owning worker's observation buffer.
 
@@ -746,7 +730,7 @@ class SelectivityGateway:
         Timeouts are never buffered: a timed-out write may already have
         been applied, and replaying it could double-count feedback.
         """
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         journal = self._journals.get(key)
         if journal is not None and journal.pending:
             # Older buffered writes go first so feedback stays ordered;
@@ -841,8 +825,8 @@ class SelectivityGateway:
         feedback acknowledged after the last checkpoint), then replay
         any writes buffered during the outage, then refresh the
         degraded-read snapshot cache.  A gap wider than the journal is
-        counted in ``lost_writes`` — size ``write_journal_capacity``
-        above the workers' ``checkpoint_every`` to keep it at zero.
+        counted in ``lost_writes`` — :data:`WRITE_JOURNAL_CAPACITY`
+        above the workers' ``checkpoint_every`` keeps it at zero.
 
         Returns ``{"keys": restored, "replayed": n, "lost": m}``.
         """
@@ -890,14 +874,12 @@ class SelectivityGateway:
             self._stats.add("checkpoint_restores", restored)
         return {"keys": restored, "replayed": replayed, "lost": lost}
 
-    async def refit_now(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> bytes:
+    async def refit_now(self, table: str | ModelKey) -> bytes:
         """Flush the key's backlog and retrain synchronously on its worker.
 
         The wire timeout is waived — a refit is allowed to take longer
         than a routine read."""
-        key = normalize_key(table, columns)
+        key = normalize_key(table)
         link = self._link_for(key)
         payload = await link.call("refit_now", {"table": key}, timeout=None)
         try:

@@ -37,33 +37,22 @@ __all__ = ["SelectivityServing", "ServingEstimator"]
 class SelectivityServing(Protocol):
     """What a selectivity-serving backend must offer (plain or sharded)."""
 
-    def key_for(
-        self, table: "str | ModelKey", columns: Sequence[str] = ()
-    ) -> ModelKey: ...
-
     def register_model(
-        self, table: "str | ModelKey", trainer: TrainableBackend,
-        columns: Sequence[str] = (),
+        self, table: "str | ModelKey", trainer: TrainableBackend
     ) -> ModelKey: ...
 
     def model_keys(self) -> Sequence[ModelKey]: ...
 
-    def snapshot_for(
-        self, table: "str | ModelKey", columns: Sequence[str] = ()
-    ) -> ModelSnapshot: ...
+    def snapshot_for(self, table: "str | ModelKey") -> ModelSnapshot: ...
 
-    def feedback_count(
-        self, table: "str | ModelKey", columns: Sequence[str] = ()
-    ) -> int: ...
+    def feedback_count(self, table: "str | ModelKey") -> int: ...
 
     def estimate(
-        self, table: "str | ModelKey", predicate: PredicateLike,
-        columns: Sequence[str] = (),
+        self, table: "str | ModelKey", predicate: PredicateLike
     ) -> float: ...
 
     def estimate_batch(
-        self, table: "str | ModelKey", predicates: Sequence[PredicateLike],
-        columns: Sequence[str] = (),
+        self, table: "str | ModelKey", predicates: Sequence[PredicateLike]
     ) -> np.ndarray: ...
 
     def estimate_batch_mixed(
@@ -72,7 +61,7 @@ class SelectivityServing(Protocol):
 
     def observe(
         self, table: "str | ModelKey", predicate: PredicateLike,
-        selectivity: float, columns: Sequence[str] = (),
+        selectivity: float,
     ) -> bool: ...
 
 

@@ -74,21 +74,29 @@ class ModelKey:
         return f"{self.table}({', '.join(self.columns)})"
 
 
-def normalize_key(
-    table: "str | ModelKey", columns: Sequence[str] = ()
-) -> ModelKey:
-    """Normalise ``(table, columns)`` to the :class:`ModelKey` it names.
+def normalize_key(table: "str | ModelKey") -> ModelKey:
+    """The :class:`ModelKey` that ``table`` names.
 
-    Accepts either a table name plus columns or an existing key (in which
-    case ``columns`` must be empty — the key already carries them).  The
-    plain service and the sharded cluster share this so a key means the
-    same model everywhere.
+    A table name becomes ``ModelKey(table)``, the whole-table model; a
+    :class:`ModelKey` passes through, so a column-scoped model is named
+    ``ModelKey(table, columns)``.  Every front end builds its keys here,
+    so a key means the same model everywhere.  Keys also arrive off the
+    wire, so anything else — a name that is not a string, a key whose
+    table is not a string or whose columns are not a tuple of strings —
+    raises :class:`ServingError` before it can reach a registry.
     """
-    if isinstance(table, ModelKey):
-        if columns:
-            raise ServingError("pass columns via the ModelKey, not both")
+    if isinstance(table, str):
+        return ModelKey(table)
+    if (
+        isinstance(table, ModelKey)
+        and isinstance(table.table, str)
+        and isinstance(table.columns, tuple)
+        and all(isinstance(column, str) for column in table.columns)
+    ):
         return table
-    return ModelKey(table=table, columns=tuple(columns))
+    raise ServingError(
+        f"a model key is a table name or a ModelKey of strings, not {table!r}"
+    )
 
 
 def group_by_key(
@@ -249,20 +257,6 @@ class EstimatorRegistry:
         """Invoke ``listener(key, snapshot)`` after every publish."""
         with self._lock:
             self._listeners.append(listener)
-
-    def remove_listener(self, listener: PublishListener) -> None:
-        """Detach a publish listener (no-op if it was never registered).
-
-        Long-lived shared registries must detach the listeners of
-        discarded services (see
-        :meth:`repro.serving.service.SelectivityService.close`) or they
-        keep those services reachable forever.
-        """
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
 
     def __repr__(self) -> str:
         with self._lock:

@@ -276,26 +276,23 @@ class SelectivityService:
 
     def __init__(
         self,
-        registry: EstimatorRegistry | None = None,
         cache: EstimateCache | None = None,
         policy: RefitPolicy | None = None,
         scheduler: RefitScheduler | None = None,
-        stats: ServingStats | None = None,
     ) -> None:
         # `is not None` rather than `or`: an injected empty cache is
         # falsy (it has __len__), and `or` would silently replace it
         # with a default-capacity one.
-        self._registry = registry if registry is not None else EstimatorRegistry()
+        self._registry = EstimatorRegistry()
         self._cache = cache if cache is not None else EstimateCache()
         self._policy = policy if policy is not None else RefitPolicy()
         self._owns_scheduler = scheduler is None
         self._scheduler = scheduler if scheduler is not None else RefitScheduler()
-        self._stats = stats if stats is not None else ServingStats()
+        self._stats = ServingStats()
         self._served: dict[ModelKey, _ServedModel] = {}
         # Per-key immediate-flush slots the scalar/batch read paths
-        # route through, keyed by the caller's raw ``table`` argument
-        # (columns empty) or the normalised ModelKey — so repeat reads
-        # skip key normalisation and the registry lock entirely.
+        # route through, keyed by the caller's raw ``table`` argument,
+        # so repeat reads skip key normalisation and the registry lock.
         self._fast_slots: dict[object, FastSlot] = {}
         self._lock = threading.RLock()
         self._closed = False
@@ -336,11 +333,10 @@ class SelectivityService:
         self,
         table: str | ModelKey,
         trainer: TrainableBackend,
-        columns: Sequence[str] = (),
         refit_backlog: bool = True,
         initial_errors: Sequence[float] = (),
     ) -> ModelKey:
-        """Put a trainable backend behind a ``(table, columns)`` model key.
+        """Put a trainable backend behind the model key ``table`` names.
 
         ``trainer`` may be anything satisfying the
         :class:`~repro.estimators.backend.TrainableBackend` protocol
@@ -364,7 +360,7 @@ class SelectivityService:
         one bad query away from a drift-triggered refit stays one bad
         query away after it moves (see :meth:`drift_errors`).
         """
-        key = self._key(table, columns)
+        key = normalize_key(table)
         window = max(self._policy.drift_window, self._policy.min_drift_observations)
         self._install(
             _ServedModel(key, as_backend(trainer), window),
@@ -373,9 +369,7 @@ class SelectivityService:
         )
         return key
 
-    def unregister_model(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> TrainableBackend:
+    def unregister_model(self, table: str | ModelKey) -> TrainableBackend:
         """Withdraw a key and hand back its backend (shard migration).
 
         Waits for an in-flight refit of the key to publish (by taking the
@@ -386,7 +380,7 @@ class SelectivityService:
         carries all absorbed feedback and can be re-registered elsewhere
         without retraining from scratch.
         """
-        key = self._key(table, columns)
+        key = normalize_key(table)
 
         def withdraw(served: _ServedModel) -> TrainableBackend:
             with self._lock:
@@ -401,35 +395,23 @@ class SelectivityService:
         self._stats.forget_backend_errors(key)
         return trainer
 
-    def key_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelKey:
-        """Normalise ``(table, columns)`` to the :class:`ModelKey` it names."""
-        return self._key(table, columns)
-
     def model_keys(self) -> Sequence[ModelKey]:
         """All model keys this service owns a trainer for."""
         with self._lock:
             return tuple(self._served)
 
-    def snapshot_for(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
+    def snapshot_for(self, table: str | ModelKey) -> ModelSnapshot:
         """The snapshot currently serving a key (metrics/debug surface)."""
-        return self._registry.current(self._key(table, columns))
+        return self._registry.current(normalize_key(table))
 
-    def feedback_count(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> int:
+    def feedback_count(self, table: str | ModelKey) -> int:
         """Total observations absorbed by a key's backend (incl. unpublished)."""
         return self._with_slot(
-            self._key(table, columns),
+            normalize_key(table),
             lambda served: served.trainer.observed_count,
         )
 
-    def drift_errors(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> tuple[float, ...]:
+    def drift_errors(self, table: str | ModelKey) -> tuple[float, ...]:
         """The key's recent served-vs-true error window, oldest first.
 
         This is the drift trigger's evidence; migration reads it before
@@ -437,14 +419,13 @@ class SelectivityService:
         ``register_model(initial_errors=...)``.
         """
         return self._with_slot(
-            self._key(table, columns),
+            normalize_key(table),
             lambda served: tuple(served.errors),
         )
 
     def export_trainer(
         self,
         table: str | ModelKey,
-        columns: Sequence[str] = (),
         serializer: Callable[[TrainableBackend], object] | None = None,
     ) -> object:
         """Serialise a key's live trainer *without* withdrawing it.
@@ -461,7 +442,7 @@ class SelectivityService:
         if serializer is None:
             serializer = copy.deepcopy
         return self._with_slot(
-            self._key(table, columns),
+            normalize_key(table),
             lambda served: serializer(served.trainer),
         )
 
@@ -469,10 +450,7 @@ class SelectivityService:
     # Reads
     # ------------------------------------------------------------------
     def fast_slot(
-        self,
-        table: str | ModelKey,
-        columns: Sequence[str] = (),
-        flush_every: int = 64,
+        self, table: str | ModelKey, flush_every: int = 64
     ) -> FastSlot:
         """A single-dispatch read handle for one key (burst fast path).
 
@@ -484,7 +462,7 @@ class SelectivityService:
         reading the stats).  Estimates are identical to
         :meth:`estimate`, including caching and version semantics.
         """
-        key = self._key(table, columns)
+        key = normalize_key(table)
         return FastSlot(
             key,
             self._registry,
@@ -494,23 +472,18 @@ class SelectivityService:
             flush_every=flush_every,
         )
 
-    def _fast_slot_for(
-        self, table: str | ModelKey, columns: Sequence[str]
-    ) -> FastSlot:
+    def _fast_slot_for(self, table: str | ModelKey) -> FastSlot:
         """The service's internal immediate-flush slot for a key.
 
-        Aliased by the raw ``table`` argument when ``columns`` is empty
-        (the overwhelmingly common call shape), so a repeat read costs
-        one dict hit; reads with explicit columns alias by normalised
-        key.  Slots survive unregister/re-register cycles by
-        re-resolving their cell through the registry (see
-        :meth:`FastSlot.snapshot`).
+        Keyed by the raw ``table`` argument, so a repeat read costs one
+        dict hit; a miss builds the key with :func:`normalize_key`.
+        Slots survive unregister/re-register cycles by re-resolving
+        their cell through the registry (see :meth:`FastSlot.snapshot`).
         """
-        alias: object = table if not columns else self._key(table, columns)
-        slot = self._fast_slots.get(alias)
+        slot = self._fast_slots.get(table)
         if slot is not None:
             return slot
-        key = alias if isinstance(alias, ModelKey) else self._key(table, columns)
+        key = normalize_key(table)
         slot = FastSlot(
             key,
             self._registry,
@@ -520,7 +493,7 @@ class SelectivityService:
             flush_every=1,
         )
         with self._lock:
-            return self._fast_slots.setdefault(alias, slot)
+            return self._fast_slots.setdefault(table, slot)
 
     def _purge_fast_slots(self, key: ModelKey) -> None:
         """Drop the internal slot aliases pointing at a withdrawn key."""
@@ -533,20 +506,14 @@ class SelectivityService:
             for alias in stale:
                 del self._fast_slots[alias]
 
-    def estimate(
-        self,
-        table: str | ModelKey,
-        predicate: PredicateLike,
-        columns: Sequence[str] = (),
-    ) -> float:
+    def estimate(self, table: str | ModelKey, predicate: PredicateLike) -> float:
         """Estimate one predicate's selectivity from the current snapshot."""
-        return self._fast_slot_for(table, columns).estimate(predicate)
+        return self._fast_slot_for(table).estimate(predicate)
 
     def estimate_batch(
         self,
         table: str | ModelKey,
         predicates: Sequence[PredicateLike] | BoxBatch,
-        columns: Sequence[str] = (),
     ) -> np.ndarray:
         """Estimate a burst of predicates against one snapshot version.
 
@@ -565,7 +532,7 @@ class SelectivityService:
         box as an object), so a hit builds no predicate object; only the
         misses are rebuilt from their rows and lowered.
         """
-        slot = self._fast_slot_for(table, columns)
+        slot = self._fast_slot_for(table)
         key = slot.key
         start = time.perf_counter()
         snapshot = slot.snapshot()
@@ -626,10 +593,7 @@ class SelectivityService:
         return results
 
     def current_estimate(
-        self,
-        table: str | ModelKey,
-        predicate: PredicateLike,
-        columns: Sequence[str] = (),
+        self, table: str | ModelKey, predicate: PredicateLike
     ) -> float:
         """The estimate the current snapshot serves, off the metrics books.
 
@@ -637,7 +601,7 @@ class SelectivityService:
         recorded as a read request — the write path uses it to price the
         served-vs-true error without polluting read latency percentiles.
         """
-        key = self._key(table, columns)
+        key = normalize_key(table)
         snapshot = self._registry.current(key)
         value, _ = self._estimate_cached(key, snapshot, predicate)
         return value
@@ -650,14 +614,13 @@ class SelectivityService:
         table: str | ModelKey,
         predicate: PredicateLike,
         selectivity: float,
-        columns: Sequence[str] = (),
     ) -> bool:
         """Record engine feedback and maybe trigger a background refit.
 
         Returns True if this observation triggered a refit submission
         (which may itself be coalesced into an already-queued one).
         """
-        key = self._key(table, columns)
+        key = normalize_key(table)
         snapshot = self._registry.current(key)
         served_estimate, _ = self._estimate_cached(key, snapshot, predicate)
         decision = self._with_slot(
@@ -670,7 +633,6 @@ class SelectivityService:
         self,
         table: str | ModelKey,
         take: Callable[[], Sequence[tuple[PredicateLike, float, float]]],
-        columns: Sequence[str] = (),
         blocking: bool = True,
     ) -> bool | None:
         """Absorb a batch of already-priced observations under one lock.
@@ -689,7 +651,7 @@ class SelectivityService:
         flight).  Otherwise returns whether the batch triggered a refit
         submission.
         """
-        key = self._key(table, columns)
+        key = normalize_key(table)
         feedback: list[tuple[PredicateLike, float, float]] = []
 
         def absorb(slot: _ServedModel) -> RefitDecision | bool:
@@ -709,11 +671,9 @@ class SelectivityService:
             # and a later replay would apply the same feedback twice.
             return False
 
-    def refit_now(
-        self, table: str | ModelKey, columns: Sequence[str] = ()
-    ) -> ModelSnapshot:
+    def refit_now(self, table: str | ModelKey) -> ModelSnapshot:
         """Retrain synchronously on the caller's thread and publish."""
-        key = self._key(table, columns)
+        key = normalize_key(table)
         self._refit(key)
         return self._registry.current(key)
 
@@ -732,21 +692,16 @@ class SelectivityService:
             return self._closed
 
     def close(self) -> None:
-        """Release the service: detach from the registry, stop the scheduler.
+        """Release the service: stop the scheduler it created.
 
-        Required when the registry (or scheduler) outlives this service —
-        e.g. several services sharing one registry — since the publish
-        listener registered at construction would otherwise keep the
-        service (cache, trainers, stats) reachable for the registry's
-        lifetime.  A scheduler injected by the caller is left running
-        (other services may share it); only a service-created scheduler
-        is shut down.  Idempotent: closing twice is a no-op.  The service
-        must not be used afterwards.
+        A scheduler injected by the caller is left running (other
+        services may share it); only a service-created scheduler is shut
+        down.  Idempotent: closing twice is a no-op.  The service must
+        not be used afterwards.
         """
         with self._lock:
             if self._closed:
                 return
-        self._registry.remove_listener(self._on_publish)
         if self._owns_scheduler:
             # May raise if a long refit is still running; the closed
             # flag is only set after everything released, so the caller
@@ -758,9 +713,6 @@ class SelectivityService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _key(self, table: str | ModelKey, columns: Sequence[str]) -> ModelKey:
-        return normalize_key(table, columns)
-
     def _install(
         self,
         slot: _ServedModel,

@@ -46,8 +46,8 @@ def make_service():
     The construction helper previously copy-pasted across the serving,
     cluster, and backend test modules: tests want deterministic refits
     (inline unless they say otherwise), everything else per-test.
-    Services created here are closed at teardown so a shared registry or
-    scheduler never outlives the test that built it.
+    Services created here are closed at teardown, so none outlives the
+    test that built it.
     """
     services: list[SelectivityService] = []
 

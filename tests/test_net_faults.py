@@ -176,16 +176,16 @@ def _bundle(key, marker: int) -> dict:
 class TestCheckpointStore:
     def test_save_latest_and_version_monotonicity(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=3)
-        key = normalize_key("orders", ())
+        key = normalize_key("orders")
         store.save(_bundle(key, 1))
         store.save(_bundle(key, 2))
         assert store.versions(key) == (1, 2)
         assert store.latest(key)["marker"] == 2
-        assert store.latest(normalize_key("ghost", ())) is None
+        assert store.latest(normalize_key("ghost")) is None
 
     def test_prunes_to_keep(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
-        key = normalize_key("orders", ())
+        key = normalize_key("orders")
         for marker in range(5):
             store.save(_bundle(key, marker))
         assert store.versions(key) == (4, 5)
@@ -193,7 +193,7 @@ class TestCheckpointStore:
 
     def test_corrupt_newest_falls_back_to_older_version(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=3)
-        key = normalize_key("orders", ())
+        key = normalize_key("orders")
         store.save(_bundle(key, 1))
         newest = store.save(_bundle(key, 2))
         newest.write_bytes(b"\x80garbage")  # crash-truncated write
@@ -201,7 +201,7 @@ class TestCheckpointStore:
 
     def test_discard_drops_every_version(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        key = normalize_key("orders", ())
+        key = normalize_key("orders")
         store.save(_bundle(key, 1))
         store.save(_bundle(key, 2))
         assert store.discard(key) == 2
@@ -210,7 +210,7 @@ class TestCheckpointStore:
 
     def test_latest_bundles_yields_one_per_key(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        orders, parts = normalize_key("orders", ()), normalize_key("parts", ())
+        orders, parts = normalize_key("orders"), normalize_key("parts")
         store.save(_bundle(orders, 1))
         store.save(_bundle(orders, 2))
         store.save(_bundle(parts, 3))
@@ -310,7 +310,7 @@ class TestWorkerCheckpointing:
         server.close()  # must flush the 4 un-checkpointed writes
         respawn = WorkerServer(shard_id="w1", checkpoint_dir=ckpt)
         try:
-            key = normalize_key("orders", ())
+            key = normalize_key("orders")
             assert respawn.worker.service.feedback_count(key) == 54
         finally:
             respawn.close()
@@ -345,7 +345,7 @@ class TestWorkerCheckpointing:
         try:
             client.register_model("orders", copy.deepcopy(trainer))
             assert client._call("checkpoint") == 1
-            key = normalize_key("orders", ())
+            key = normalize_key("orders")
             assert client._call("checkpoint", {"table": key}) == 1
         finally:
             client.close()
@@ -389,7 +389,7 @@ def durable_fleet(tmp_path, workload):
     gateway_server.start()
     client = connect(*gateway_server.address)
     client.register_model("orders", copy.deepcopy(trainer))
-    owner = gateway_server.gateway.router.route(client.key_for("orders"))
+    owner = gateway_server.gateway.router.route(normalize_key("orders"))
     yield workers, gateway_server, client, owner, tmp_path
     client.close()
     gateway_server.close()
@@ -420,7 +420,7 @@ class TestGatewayDegradedServing:
         _, _, probes, trainer = workload
         workers, server, client, owner, _ = durable_fleet
         client.register_model("parts", copy.deepcopy(trainer))
-        other_owner = server.gateway.router.route(client.key_for("parts"))
+        other_owner = server.gateway.router.route(normalize_key("parts"))
         pairs = [(table, probe) for probe in probes[:10]
                  for table in ("orders", "parts")]
         expected = client.estimate_batch_mixed(pairs)
@@ -445,7 +445,7 @@ class TestGatewayDegradedServing:
         for table in tables[1:]:
             client.register_model(table, copy.deepcopy(trainer))
         owner_of = {
-            table: gateway.router.route(client.key_for(table)) for table in tables
+            table: gateway.router.route(normalize_key(table)) for table in tables
         }
         dead = max(workers, key=list(owner_of.values()).count)
         pairs = [(table, probe) for probe in probes[:10] for table in tables]

@@ -9,11 +9,13 @@ exercised in ``test_net_e2e.py``.
 from __future__ import annotations
 
 import copy
+import inspect
 import time
 
 import numpy as np
 import pytest
 
+from repro.cluster import ShardedSelectivityService
 from repro.cluster.shard import ShardWorker
 from repro.core.config import QuickSelConfig
 from repro.core.predicate import BoxBatch
@@ -34,7 +36,13 @@ from repro.net import (
     merge_worker_stats,
 )
 from repro.net.gateway import SelectivityGateway, _WorkerLink
-from repro.serving import RefitScheduler, SelectivityService
+from repro.net.protocol import encode_backend
+from repro.serving import (
+    ModelKey,
+    RefitScheduler,
+    SelectivityService,
+    normalize_key,
+)
 from repro.serving.stats import LATENCY_WINDOW
 from repro.serving.adapter import SelectivityServing, ServingEstimator
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
@@ -226,7 +234,7 @@ class TestWorkerServerDirect:
             local = reference.estimate_batch("orders", probes)
             assert np.max(np.abs(remote - local)) <= PARITY
             assert client.feedback_count("orders") == 50
-            assert client.model_keys() == (client.key_for("orders"),)
+            assert client.model_keys() == (normalize_key("orders"),)
             client.close()
         finally:
             reference.close()
@@ -318,6 +326,26 @@ class TestWorkerServerDirect:
         assert server.wait(timeout=10.0)
         client.close()
 
+    def test_malformed_key_is_refused_and_registers_nothing(self, workload):
+        """A worker builds every key a client sends with normalize_key,
+        so a key that is not a name or a ModelKey of strings is refused
+        before it reaches the shard's registry."""
+        _, _, _, trainers = workload
+        server = WorkerServer(shard_id="solo")
+        server.start()
+        try:
+            client = RemoteSelectivityService("127.0.0.1", server.port)
+            backend = encode_backend(copy.deepcopy(trainers["orders"]))
+            for table in (None, ModelKey(None), ModelKey("orders", ("x", 1))):
+                with pytest.raises(ServingError, match="model key"):
+                    client._call(
+                        "register_model", {"table": table, "backend": backend}
+                    )
+            assert client.model_keys() == ()
+            client.close()
+        finally:
+            server.close()
+
     def test_unserved_key_maps_to_serving_error(self):
         server = WorkerServer(shard_id="solo")
         server.start()
@@ -337,6 +365,36 @@ class TestGatewayServing:
     def test_remote_satisfies_selectivity_serving(self, fleet):
         _, _, client = fleet
         assert isinstance(client, SelectivityServing)
+
+    @pytest.mark.parametrize(
+        "front_end",
+        [
+            SelectivityService,
+            ShardedSelectivityService,
+            RemoteSelectivityService,
+        ],
+    )
+    def test_front_end_takes_the_protocol_parameters(self, front_end):
+        """``runtime_checkable`` checks only that the method names
+        exist; a caller written against the protocol also needs each
+        front end to take its parameters under the same names, in the
+        same order.  A front end may add only the parameters listed
+        here after them, so a second spelling of an argument (a
+        ``columns`` beside ``table``) cannot creep back into one."""
+        extras = {
+            (SelectivityService, "register_model"): [
+                "refit_backlog",
+                "initial_errors",
+            ],
+        }
+        for name, method in vars(SelectivityServing).items():
+            if name.startswith("_") or not callable(method):
+                continue
+            expected = list(inspect.signature(method).parameters)
+            actual = list(
+                inspect.signature(getattr(front_end, name)).parameters
+            )
+            assert actual == expected + extras.get((front_end, name), []), name
 
     def test_estimates_match_in_process_service(self, fleet, workload):
         _, _, probes, trainers = workload
@@ -402,7 +460,7 @@ class TestGatewayServing:
         finally:
             reference.close()
         assert np.max(np.abs(remote - local)) <= PARITY
-        keys = {table: client.key_for(table) for table in trainers}
+        keys = {table: normalize_key(table) for table in trainers}
         assert len(bursts) == 1 and len(bursts[0]) == len(trainers)
         owners = {server.gateway.router.route(key) for key in keys.values()}
         assert sorted(rpcs) == sorted(
@@ -424,7 +482,7 @@ class TestGatewayServing:
         gateway = server.gateway
         for table, trainer in trainers.items():
             client.register_model(table, copy.deepcopy(trainer))
-        moved = client.key_for("orders")
+        moved = normalize_key("orders")
         owner = gateway.router.route(moved)
         wrong = next(name for name in gateway.router.shards if name != owner)
         link_for = gateway._link_for
@@ -461,7 +519,7 @@ class TestGatewayServing:
         gateway = server.gateway
         for table, trainer in trainers.items():
             client.register_model(table, copy.deepcopy(trainer))
-        ghost_owner = gateway.router.route(client.key_for("ghost"))
+        ghost_owner = gateway.router.route(normalize_key("ghost"))
         calls: list[str] = []
         call = _WorkerLink.call
 
@@ -490,8 +548,8 @@ class TestGatewayServing:
         assert sum(placement.values()) == len(trainers)
         router = server.gateway.router
         for table in trainers:
-            owner = router.route(client.key_for(table))
-            assert client.key_for(table) in workers[owner].worker.model_keys()
+            owner = router.route(normalize_key(table))
+            assert normalize_key(table) in workers[owner].worker.model_keys()
 
     def test_observe_round_trip_drives_remote_refit(self, fleet, workload):
         _, feedback, _, trainers = workload
@@ -645,7 +703,7 @@ class TestGatewayFaultPaths:
         try:
             client.register_model("orders", copy.deepcopy(trainers["orders"]))
             expected = client.estimate_batch("orders", probes)
-            owner = server.gateway.router.route(client.key_for("orders"))
+            owner = server.gateway.router.route(normalize_key("orders"))
             victim = workers[owner]
             port = victim.port
             trainer_state = copy.deepcopy(trainers["orders"])
@@ -682,7 +740,7 @@ class TestGatewayFaultPaths:
         _, feedback, _, trainers = workload
         workers, server, client = fleet
         client.register_model("orders", copy.deepcopy(trainers["orders"]))
-        owner = server.gateway.router.route(client.key_for("orders"))
+        owner = server.gateway.router.route(normalize_key("orders"))
         retries_before = server.gateway.stats.counters()["retries"]
         workers[owner].close()
         predicate, selectivity = feedback[0]
@@ -714,7 +772,7 @@ class TestGatewayFaultPaths:
             for predicate, selectivity in feedback[:20]:
                 client.observe("orders", predicate, selectivity)
             client.drain(timeout=60.0)
-            key = client.key_for("orders")
+            key = normalize_key("orders")
             # Every buffered observation was replayed into the trainer
             # before shutdown: nothing pending, all absorbed.
             assert worker.worker.buffer.total_pending() == 0
@@ -734,7 +792,7 @@ class TestGatewayFaultPaths:
         workers, server, client = fleet
         client.register_model("orders", copy.deepcopy(trainers["orders"]))
         expected = client.estimate_batch("orders", probes)
-        owner = server.gateway.router.route(client.key_for("orders"))
+        owner = server.gateway.router.route(normalize_key("orders"))
         trainer_state = copy.deepcopy(trainers["orders"])
         workers[owner].close()
         replacement = WorkerServer(shard_id=owner)  # new ephemeral port

@@ -59,6 +59,7 @@ from repro.serving import (
     SelectivityService,
     ServingEstimator,
     ServingStats,
+    normalize_key,
     predicate_cache_key,
 )
 from repro.workloads.queries import RandomRangeQueryGenerator, labelled_feedback
@@ -128,6 +129,22 @@ class TestRegistry:
     def test_current_unknown_key_raises(self):
         with pytest.raises(ServingError):
             EstimatorRegistry().current(ModelKey("missing"))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            123,
+            None,
+            b"t",
+            ModelKey(None),
+            ModelKey("t", ("x", 1)),
+            ModelKey("t", ["x"]),
+        ],
+        ids=["int", "none", "bytes", "none-table", "int-column", "list-columns"],
+    )
+    def test_normalize_key_refuses_malformed_keys(self, table):
+        with pytest.raises(ServingError, match="model key"):
+            normalize_key(table)
 
     def test_listeners_fire_on_publish(self, trained_world):
         _, _, trained = trained_world
@@ -582,6 +599,14 @@ class TestRefitPolicy:
 # Service surface
 # ----------------------------------------------------------------------
 class TestSelectivityService:
+    def test_malformed_key_registers_nothing(self, trained_world, make_service):
+        dataset, _, _ = trained_world
+        service = make_service()
+        with pytest.raises(ServingError):
+            service.register_model(123, QuickSel(dataset.domain))
+        assert service.model_keys() == ()
+        assert service.registry.keys() == ()
+
     def test_duplicate_registration_rejected(self, trained_world, make_service):
         dataset, _, _ = trained_world
         service = make_service()
@@ -594,7 +619,7 @@ class TestSelectivityService:
         service = make_service()
         key_all = service.register_model("t", QuickSel(dataset.domain))
         key_xy = service.register_model(
-            "t", QuickSel(dataset.domain), columns=("x", "y")
+            ModelKey("t", ("x", "y")), QuickSel(dataset.domain)
         )
         assert key_all != key_xy
         assert set(service.model_keys()) == {key_all, key_xy}
@@ -635,20 +660,6 @@ class TestSelectivityService:
         service = make_service()
         with pytest.raises(ServingError):
             service.observe("ghost", feedback[0][0], 0.5)
-
-    def test_close_detaches_from_shared_registry(self, trained_world, make_service):
-        dataset, feedback, trained = trained_world
-        registry = EstimatorRegistry()
-        service = make_service(registry=registry)
-        key = service.register_model("t", QuickSel(dataset.domain))
-        probe = feedback[0][0]
-        service.estimate(key, probe)
-        assert len(service.cache) == 1
-        service.close()
-        # A publish on the shared registry no longer reaches the closed
-        # service's cache-invalidation listener.
-        registry.publish(key, trained.model, trained.observed_count)
-        assert len(service.cache) == 1
 
     def test_custom_predicate_subclass_served_uncached(self, trained_world, make_service):
         """User-defined predicates are estimable everywhere else, so the
@@ -950,7 +961,7 @@ class TestEngineWiring:
         needs this service to own the trainer."""
         *_, loop = engine_world
         service = make_service()
-        service.registry.register(service.key_for("events"), unit_square)
+        service.registry.register(normalize_key("events"), unit_square)
         with pytest.raises(ServingError, match="owns no trainer"):
             loop.register_service("events", service)
 
